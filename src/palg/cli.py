@@ -245,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="palg",
         description="finite p-algebras, poset duality, quasiequations")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="upper bound on worker threads (current searches are sequential)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     mk = sub.add_parser("make", help="construct a named algebra or poset")
@@ -314,8 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, RecursionError, MemoryError) as exc:
+        # the term parser and evaluator recurse, so deep input ends here
+        print(f"resource limit: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
     except (StructureError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

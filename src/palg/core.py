@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .search import table_homs
+
 MAX_ALGEBRA_SIZE = 5000     # cap on materialized operation tables
 MAX_BN_ATOMS = 12           # make_bn bound: 2**12 + 1 = 4097 elements
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -418,59 +420,15 @@ def _unary_profile(a: FiniteAlgebra) -> list[tuple[bool, ...]]:
 
 def _iso_invariant(a: FiniteAlgebra) -> list[tuple]:
     # order-theoretic counts, preserved by isomorphisms only
-    ups = a.up_masks
+    ups, downs = a.up_masks, a.down_masks
     ji = set(a.join_irreducibles)
     prof = _unary_profile(a)
     out = []
     for x in range(a.size):
         above = bin(ups[x]).count("1")
-        below = sum(1 for y in range(a.size) if a.leq(y, x))
+        below = bin(downs[x]).count("1")
         out.append((prof[x], above, below, x in ji))
     return out
-
-
-def _op_facts_by_max(a: FiniteAlgebra):
-    """All operation facts bucketed by the largest index involved, so each
-    fact is checked exactly once during index-order assignment."""
-    buckets: list[list[tuple]] = [[] for _ in range(a.size)]
-    for x in range(a.size):
-        for y in range(x + 1):
-            zm = a.meet[x][y]
-            buckets[max(x, zm)].append(("m", x, y, zm))
-            zj = a.join[x][y]
-            buckets[max(x, zj)].append(("j", x, y, zj))
-        zs = a.star[x]
-        buckets[max(x, zs)].append(("s", x, 0, zs))
-    return buckets
-
-
-def _definitions(a: FiniteAlgebra):
-    """For each index, an op expression over strictly smaller indices that
-    forces its image, when one exists."""
-    defs: list[tuple | None] = [None] * a.size
-    defs[a.zero] = ("0",)
-    defs[a.one] = ("1",)
-    for i in range(a.size):
-        if defs[i] is not None:
-            continue
-        done = False
-        for x in range(i):
-            if a.star[x] == i:
-                defs[i] = ("s", x)
-                done = True
-                break
-            for y in range(x + 1):
-                if a.meet[x][y] == i:
-                    defs[i] = ("m", x, y)
-                    done = True
-                    break
-                if a.join[x][y] == i:
-                    defs[i] = ("j", x, y)
-                    done = True
-                    break
-            if done:
-                break
-    return defs
 
 
 def _map_search(source: FiniteAlgebra, target: FiniteAlgebra, *,
@@ -485,89 +443,24 @@ def _map_search(source: FiniteAlgebra, target: FiniteAlgebra, *,
     n, m = source.size, target.size
     if injective and n > m:
         return EnumerationResult((), True, 0)
-    sprof = _unary_profile(source)
-    tprof = _unary_profile(target)
     if iso:
-        sinv = _iso_invariant(source)
-        tinv = _iso_invariant(target)
-    facts = _op_facts_by_max(source)
-    defs = _definitions(source)
-    tm, tj, ts = target.meet, target.join, target.star
-
-    candidates: list[list[int]] = []
-    for x in range(n):
-        if iso:
-            cand = [u for u in range(m) if tinv[u] == sinv[x]]
-        elif injective:
-            cand = [u for u in range(m) if tprof[u] == sprof[x]]
+        sinv, tinv = _iso_invariant(source), _iso_invariant(target)
+        cands = [[u for u in range(m) if tinv[u] == sinv[x]] for x in range(n)]
+    else:
+        sprof, tprof = _unary_profile(source), _unary_profile(target)
+        if injective:
+            cands = [[u for u in range(m) if tprof[u] == sprof[x]] for x in range(n)]
         else:
-            cand = [u for u in range(m)
-                    if all((not p) or q for p, q in zip(sprof[x], tprof[u]))]
-        candidates.append(cand)
-
-    f = [-1] * n
-    used = [False] * m
-    found: list[AlgebraMap] = []
-    nodes = 0
-    aborted = False
-
-    def consistent(i: int) -> bool:
-        for op, x, y, z in facts[i]:
-            if op == "m":
-                if tm[f[x]][f[y]] != f[z]:
-                    return False
-            elif op == "j":
-                if tj[f[x]][f[y]] != f[z]:
-                    return False
-            else:
-                if ts[f[x]] != f[z]:
-                    return False
-        return True
-
-    def rec(i: int) -> bool:
-        nonlocal nodes, aborted
-        if i == n:
-            found.append(AlgebraMap(source, target, tuple(f)))
-            return limit is not None and len(found) >= limit
-        d = defs[i]
-        if d is None:
-            cand = candidates[i]
-        elif d[0] == "0":
-            cand = [target.zero]
-        elif d[0] == "1":
-            cand = [target.one]
-        elif d[0] == "s":
-            cand = [ts[f[d[1]]]]
-        elif d[0] == "m":
-            cand = [tm[f[d[1]]][f[d[2]]]]
-        else:
-            cand = [tj[f[d[1]]][f[d[2]]]]
-        # both constants must be honoured even when source zero == one
-        if i == source.zero:
-            cand = [u for u in cand if u == target.zero]
-        if i == source.one:
-            cand = [u for u in cand if u == target.one]
-        for u in cand:
-            if injective and used[u]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                aborted = True
-                return True
-            f[i] = u
-            used[u] = True
-            if consistent(i) and rec(i + 1):
-                used[u] = False
-                f[i] = -1
-                return True
-            used[u] = False
-            f[i] = -1
-        return False
-
-    rec(0)
-    found.sort(key=lambda h: h.table)
-    complete = not aborted and (limit is None or len(found) < limit)
-    return EnumerationResult(tuple(found), complete, nodes)
+            cands = [[u for u in range(m)
+                      if all((not p) or q for p, q in zip(sprof[x], tprof[u]))]
+                     for x in range(n)]
+    tables, complete, nodes = table_homs(
+        n, [(source.star, target.star)],
+        [(source.meet, target.meet), (source.join, target.join)],
+        [(source.zero, target.zero), (source.one, target.one)], cands,
+        injective=injective, limit=limit, budget=budget)
+    return EnumerationResult(tuple(AlgebraMap(source, target, t) for t in tables),
+                             complete, nodes)
 
 
 def enumerate_homomorphisms(source: FiniteAlgebra, target: FiniteAlgebra,

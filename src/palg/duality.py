@@ -23,6 +23,7 @@ from .core import (
     Violation,
     trivial_algebra,
 )
+from .search import Backtrack
 
 
 @dataclass(frozen=True)
@@ -334,14 +335,12 @@ class PPSearchResult:
         return self.status == "found"
 
 
-def _pp_search(src: FinitePoset, dst: FinitePoset, required: int,
-               budget: int) -> tuple[str, tuple[int, ...] | None, int]:
-    """Complete backtracking over point images in index order with forward
-    checking; the first witness found is the lexicographically least table
-    whose image covers the ``required`` target mask."""
+def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
+    """The pp-morphism tables ``src -> dst`` whose image covers the
+    ``required`` target mask, in lexicographic order, as ``(search,
+    tables)``: backtracking over point images in index order with forward
+    checking; ``search.nodes`` and ``search.exhausted`` report the work."""
     ns, nd = src.size, dst.size
-    if nd == 0:
-        return ("found", (), 0) if ns == 0 else ("none", None, 0)
     up_s, up_d = src.up, dst.up
     down_d = dst.down
     mu_s, mu_d = src.max_up_masks, dst.max_up_masks
@@ -361,67 +360,69 @@ def _pp_search(src: FinitePoset, dst: FinitePoset, required: int,
     for x in range(ns):
         for y in _bits(up_s[x]):
             below_s[y] |= 1 << x
-    full_d = (1 << nd) - 1
-    f = [-1] * ns
-    nodes = 0
 
-    def rec(i: int, dom: list[int], covered: int):
-        nonlocal nodes
-        if i == ns:
-            if (covered & required) != required:
+    def candidates(i, f, state):
+        dom, covered = state
+        # a required target still uncoverable by any remaining point is fatal
+        if required:
+            reach = covered
+            for x in range(i, ns):
+                reach |= dom[x]
+            if (reach & required) != required:
+                return ()
+        return _bits(dom[i])
+
+    def accept(i, f, state):
+        dom, covered = state
+        t = f[i]
+        ndom = dom.copy()
+        ndom[i] = 1 << t
+        for y in range(i + 1, ns):
+            m = ndom[y]
+            if (up_s[i] >> y) & 1:
+                m &= up_d[t]
+            if (below_s[i] >> y) & 1:
+                m &= down_d[t]
+            if (strict_mu[i] >> y) & 1:
+                m &= mu_d[t]
+            if m == 0:
                 return None
+            ndom[y] = m
+        for y in _bits(mu_s[i]):
+            if y <= i and not ((mu_d[t] >> f[y]) & 1):
+                return None
+        return ndom, covered | (1 << t)
+
+    search = Backtrack(ns, candidates, accept, budget)
+
+    def tables():
+        for f in search.solutions((dom0, 0)):
+            covered = 0
+            for v in f:
+                covered |= 1 << v
+            if (covered & required) != required:
+                continue
             for x in range(ns):
                 img = 0
                 for y in _bits(mu_s[x]):
                     img |= 1 << f[y]
                 if img != mu_d[f[x]]:
-                    return None
-            return tuple(f)
-        # a required target still uncoverable by any remaining point is fatal
-        reach = covered
-        for x in range(i, ns):
-            reach |= dom[x]
-        if (reach & required) != required:
-            return None
-        for t in _bits(dom[i]):
-            nodes += 1
-            if nodes > budget:
-                return "budget"
-            ndom = dom.copy()
-            ndom[i] = 1 << t
-            ok = True
-            for y in range(i + 1, ns):
-                m = ndom[y]
-                if (up_s[i] >> y) & 1:
-                    m &= up_d[t]
-                if (below_s[i] >> y) & 1:
-                    m &= down_d[t]
-                if (strict_mu[i] >> y) & 1:
-                    m &= mu_d[t]
-                if m == 0:
-                    ok = False
                     break
-                ndom[y] = m
-            if ok:
-                for y in _bits(mu_s[i]):
-                    fy = t if y == i else (f[y] if y < i else None)
-                    if fy is not None and not ((mu_d[t] >> fy) & 1):
-                        ok = False
-                        break
-            if ok:
-                f[i] = t
-                res = rec(i + 1, ndom, covered | (1 << t))
-                f[i] = -1
-                if res is not None:
-                    return res
-        return None
+            else:
+                yield tuple(f)
 
-    res = rec(0, dom0, 0)
-    if res == "budget":
-        return "inconclusive", None, nodes
-    if res is None:
-        return "none", None, nodes
-    return "found", res, nodes
+    return search, tables()
+
+
+def _pp_search(src: FinitePoset, dst: FinitePoset, required: int,
+               budget: int) -> tuple[str, tuple[int, ...] | None, int]:
+    """The lexicographically least pp-morphism table whose image covers the
+    ``required`` target mask, as ``(status, table, nodes)``."""
+    search, tables = _pp_tables(src, dst, required, budget)
+    table = next(tables, None)
+    if table is not None:
+        return "found", table, search.nodes
+    return ("inconclusive" if search.exhausted else "none"), None, search.nodes
 
 
 def find_surjective_ppmorphism(source: FinitePoset, target: FinitePoset,
@@ -443,62 +444,9 @@ def enumerate_ppmorphisms(source: FinitePoset, target: FinitePoset,
                           budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[list[PPMap], bool]:
     """All pp-morphisms source -> target in lexicographic table order;
     the flag reports whether the enumeration is complete."""
-    ns, nd = source.size, target.size
-    if nd == 0:
-        return ([PPMap(source, target, ())], True) if ns == 0 else ([], True)
-    out = []
-    # reuse the searching core by pinning successive prefixes would be
-    # quadratic; sizes here are small enough for a direct scan
-    mu_s, mu_d = source.max_up_masks, target.max_up_masks
-    card_s = [bin(m).count("1") for m in mu_s]
-    card_d = [bin(m).count("1") for m in mu_d]
-    nodes = 0
-    f = [-1] * ns
-    complete = True
-
-    def rec(i: int):
-        nonlocal nodes, complete
-        if not complete or (limit is not None and len(out) >= limit):
-            complete = False
-            return
-        if i == ns:
-            for x in range(ns):
-                img = 0
-                for y in _bits(mu_s[x]):
-                    img |= 1 << f[y]
-                if img != mu_d[f[x]]:
-                    return
-            out.append(PPMap(source, target, tuple(f)))
-            return
-        for t in range(nd):
-            if card_s[i] < card_d[t]:
-                continue
-            ok = True
-            for y in range(i):
-                if (source.up[i] >> y) & 1 and not target.leq(t, f[y]):
-                    ok = False
-                    break
-                if (source.up[y] >> i) & 1 and not target.leq(f[y], t):
-                    ok = False
-                    break
-                if (mu_s[y] >> i) & 1 and not ((mu_d[f[y]] >> t) & 1):
-                    ok = False
-                    break
-                if (mu_s[i] >> y) & 1 and not ((mu_d[t] >> f[y]) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes += 1
-            if nodes > budget:
-                complete = False
-                return
-            f[i] = t
-            rec(i + 1)
-            f[i] = -1
-
-    rec(0)
-    return out, complete
+    search, tables = _pp_tables(source, target, 0, budget)
+    found, complete = search.take(tables, limit)
+    return [PPMap(source, target, t) for t in found], complete
 
 
 def epsilon_map(f: PPMap) -> AlgebraMap:
@@ -552,27 +500,20 @@ def posets_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
     pp, qp = profile(p), profile(q)
     if sorted(pp) != sorted(qp):
         return False
-    f = [-1] * n
-    used = [False] * n
+    cands = [[t for t in range(n) if qp[t] == pp[x]] for x in range(n)]
 
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        for t in range(n):
-            if used[t] or qp[t] != pp[i]:
-                continue
-            if any(f[y] >= 0 and (p.leq(i, y) != q.leq(t, f[y]) or p.leq(y, i) != q.leq(f[y], t))
-                   for y in range(i)):
-                continue
-            f[i] = t
-            used[t] = True
-            if rec(i + 1):
-                return True
-            f[i] = -1
-            used[t] = False
-        return False
+    def candidates(i, f, used):
+        return [t for t in cands[i] if not (used >> t) & 1]
 
-    return rec(0)
+    def accept(i, f, used):
+        t = f[i]
+        pu, pd, qu, qd = p.up[i], p.down[i], q.up[t], q.down[t]
+        for y in range(i):
+            if (pu >> y) & 1 != (qu >> f[y]) & 1 or (pd >> y) & 1 != (qd >> f[y]) & 1:
+                return None
+        return used | (1 << t)
+
+    return next(Backtrack(n, candidates, accept).solutions(0), None) is not None
 
 
 def _canonical_key(p: FinitePoset) -> tuple:

@@ -1,0 +1,140 @@
+"""The one backtracking kernel behind every search in palg.
+
+:class:`Backtrack` assigns positions ``0..n-1`` in index order with an
+explicit stack, so the depth of a search is not bounded by Python's
+recursion limit.  An engine supplies two callbacks:
+
+``candidates(i, f, state)``
+    the values to try at position ``i``, ascending; ``f[:i]`` holds the
+    assignment so far and ``state`` is what accepting ``f[i-1]`` returned.
+    Every value returned counts as one node against the budget.
+``accept(i, f, state)``
+    called with ``f[i]`` set; returns the state for position ``i + 1``,
+    or ``None`` to reject the value.
+
+Complete assignments come out in lexicographic order when the candidates
+are ascending.  :func:`table_homs` is the table-homomorphism engine built
+on the kernel, shared by algebra and quasigroup homomorphism searches.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+
+class Backtrack:
+    """Depth-first search over assignments; ``nodes`` counts candidates
+    tried and ``exhausted`` is set when more than ``budget`` were needed."""
+
+    def __init__(self, n: int, candidates, accept, budget: int | None = None):
+        self.n = n
+        self.candidates = candidates
+        self.accept = accept
+        self.budget = float("inf") if budget is None else budget
+        self.nodes = 0
+        self.exhausted = False
+
+    def solutions(self, state):
+        """Yield each complete assignment as one shared list; copy it to
+        keep it.  Stops early when the budget runs out."""
+        n, candidates, accept, budget = self.n, self.candidates, self.accept, self.budget
+        f = [-1] * n
+        if n == 0:
+            yield f
+            return
+        nodes = self.nodes
+        states = [state] * n
+        pending = [iter(())] * n
+        pending[0] = iter(candidates(0, f, state))
+        i = 0
+        while i >= 0:
+            child = None
+            for u in pending[i]:
+                nodes += 1
+                if nodes > budget:
+                    self.nodes = nodes
+                    self.exhausted = True
+                    return
+                f[i] = u
+                child = accept(i, f, states[i])
+                if child is not None:
+                    break
+            if child is None:
+                i -= 1
+            elif i + 1 == n:
+                self.nodes = nodes
+                yield f
+            else:
+                i += 1
+                states[i] = child
+                pending[i] = iter(candidates(i, f, child))
+        self.nodes = nodes
+
+    def take(self, solutions, limit: int | None):
+        """The first ``limit`` items (all, for ``None``) of ``solutions``,
+        an iterator over this search, and whether they are all there is;
+        a reached limit counts as truncation."""
+        found = list(itertools.islice(solutions, limit))
+        return found, not self.exhausted and (limit is None or len(found) < limit)
+
+
+def table_homs(n: int, unary, binary, consts, cands, *, injective: bool = False,
+               limit: int | None = None, budget: int | None = None):
+    """Maps ``0..n-1`` to a target that preserve every operation, as
+    ``(tables, complete, nodes)`` with the tables in lexicographic order.
+
+    ``unary`` and ``binary`` list ``(source_table, target_table)`` pairs;
+    ``consts`` lists ``(source_index, target_index)`` pairs; ``cands[i]``
+    holds the ascending images tried for a point whose image no earlier
+    point forces.  A point that is a constant, or an operation applied to
+    earlier points, has its image forced, so only a generating prefix
+    branches.  Each fact ``op(x, y) = z`` with ``y <= x`` is checked once,
+    as soon as its largest index is assigned.  ``complete`` is False when
+    the budget ran out or ``limit`` maps were found.
+    """
+    forced: list[tuple | None] = [None] * n
+    for s, t in consts:  # a point named by two constants must honour both
+        prev = forced[s]
+        forced[s] = (t,) if prev is None or prev == (t,) else ()
+    unary_facts: list[list[tuple]] = [[] for _ in range(n)]
+    binary_facts: list[list[tuple]] = [[] for _ in range(n)]
+    for x in range(n):
+        # the first definition of z in this scan order uses only points below z
+        for s, t in unary:
+            z = s[x]
+            unary_facts[max(x, z)].append((t, x, z))
+            if z > x and forced[z] is None:
+                forced[z] = (t, x)
+        for y in range(x + 1):
+            for s, t in binary:
+                z = s[x][y]
+                binary_facts[max(x, z)].append((t, x, y, z))
+                if z > x and forced[z] is None:
+                    forced[z] = (t, x, y)
+
+    def candidates(i, f, used):
+        d = forced[i]
+        if d is None:
+            c = cands[i]
+        elif len(d) == 3:
+            c = (d[0][f[d[1]]][f[d[2]]],)
+        elif len(d) == 2:
+            c = (d[0][f[d[1]]],)
+        else:
+            c = d
+        if injective:
+            return [u for u in c if not (used >> u) & 1]
+        return c
+
+    def accept(i, f, used):
+        for t, x, y, z in binary_facts[i]:
+            if t[f[x]][f[y]] != f[z]:
+                return None
+        for t, x, z in unary_facts[i]:
+            if t[f[x]] != f[z]:
+                return None
+        return used | (1 << f[i])
+
+    search = Backtrack(n, candidates, accept, budget)
+    found, complete = search.take((tuple(f) for f in search.solutions(0)), limit)
+    return found, complete, search.nodes

@@ -20,6 +20,7 @@ from .core import (
     Violation,
 )
 from .duality import FinitePoset
+from .search import table_homs
 
 
 @dataclass(frozen=True)
@@ -222,50 +223,11 @@ def enumerate_quasigroup_homs(source: SteinerQuasigroup, target: SteinerQuasigro
     of two earlier points is forced, so only a generating prefix branches.
     The constant maps are always present (idempotence).
     """
-    n, m = source.order, target.order
-    sm, tm = source.mult, target.mult
-    defs: list[tuple[int, int] | None] = [None] * n
-    for i in range(n):
-        for x in range(i):
-            for y in range(x + 1, i):
-                if sm[x][y] == i:
-                    defs[i] = (x, y)
-                    break
-            if defs[i]:
-                break
-    facts: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            z = sm[x][y]
-            facts[max(x, y, z)].append((x, y, z))
-    f = [-1] * n
-    found: list[tuple[int, ...]] = []
-    nodes = 0
-    aborted = False
-
-    def rec(i: int) -> bool:
-        nonlocal nodes, aborted
-        if i == n:
-            found.append(tuple(f))
-            return limit is not None and len(found) >= limit
-        cand = range(m) if defs[i] is None else (tm[f[defs[i][0]]][f[defs[i][1]]],)
-        for u in cand:
-            nodes += 1
-            if nodes > budget:
-                aborted = True
-                return True
-            f[i] = u
-            if all(tm[f[x]][f[y]] == f[z] for x, y, z in facts[i]):
-                if rec(i + 1):
-                    f[i] = -1
-                    return True
-            f[i] = -1
-        return False
-
-    rec(0)
-    found.sort()
-    complete = not aborted and (limit is None or len(found) < limit)
-    maps = tuple(_QuasigroupHom(source, target, t) for t in found)
+    images = range(target.order)
+    tables, complete, nodes = table_homs(
+        source.order, [], [(source.mult, target.mult)], [], [images] * source.order,
+        limit=limit, budget=budget)
+    maps = tuple(_QuasigroupHom(source, target, t) for t in tables)
     return EnumerationResult(maps, complete, nodes)
 
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import palg
 
 from palg import StructureError, make_bn, make_p1, posets_up_to
 from palg.cli import main
@@ -147,6 +152,18 @@ class TestCli:
 
     def test_resource_exit_code(self):
         assert main(["make", "bn", "13"]) == 3
+
+    def test_deep_term_is_a_resource_limit(self, tmp_path):
+        b1 = tmp_path / "b1.json"
+        assert main(["make", "bn", "1", "--out", str(b1)]) == 0
+        deep = tmp_path / "deep.txt"
+        deep.write_text(" v ".join(["x"] * 1500) + " = 1\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
+        run = subprocess.run([sys.executable, "-m", "palg.cli", "check", "quasieq",
+                              "--algebra", str(b1), "--q-file", str(deep)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 3
+        assert run.stderr.startswith("resource limit:") and "Traceback" not in run.stderr
 
     def test_input_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
