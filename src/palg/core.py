@@ -67,9 +67,9 @@ class FiniteAlgebra:
     one: int
 
     def __post_init__(self):
-        object.__setattr__(self, "meet", tuple(tuple(int(v) for v in row) for row in self.meet))
-        object.__setattr__(self, "join", tuple(tuple(int(v) for v in row) for row in self.join))
-        object.__setattr__(self, "star", tuple(int(v) for v in self.star))
+        object.__setattr__(self, "meet", tuple(tuple(map(int, row)) for row in self.meet))
+        object.__setattr__(self, "join", tuple(tuple(map(int, row)) for row in self.join))
+        object.__setattr__(self, "star", tuple(map(int, self.star)))
         n = self.size
         if len(self.meet) != n or len(self.join) != n or len(self.star) != n:
             raise StructureError("table length does not match size")

@@ -21,7 +21,6 @@ from .core import (
     StructureError,
     ValidationReport,
     Violation,
-    trivial_algebra,
 )
 from .search import Backtrack
 
@@ -195,28 +194,13 @@ def delta(a: FiniteAlgebra) -> tuple[FinitePoset, tuple[int, ...]]:
 
 def upsets_of(p: FinitePoset) -> list[int]:
     """All upsets as bitmasks, ascending numerically."""
-    # decide points from maximal elements downward so the upward-closure
-    # constraint only looks at already-decided points
-    rank = [0] * p.size
-    for _ in range(p.size):
-        for x in range(p.size):
-            r = 0
-            for y in _bits(p.up[x] & ~(1 << x)):
-                r = max(r, rank[y] + 1)
-            rank[x] = r
-    topo = sorted(range(p.size), key=lambda x: rank[x])
-    out = []
-
-    def rec(idx: int, acc: int):
-        if idx == p.size:
-            out.append(acc)
-            return
-        x = topo[idx]
-        rec(idx + 1, acc)
-        if (p.up[x] & ~(1 << x)) & ~acc == 0:
-            rec(idx + 1, acc | (1 << x))
-
-    rec(0, 0)
+    # decide points in ascending up-set size: y > x implies up(y) < up(x),
+    # so every point above x is decided first, and after each step ``out``
+    # holds exactly the upsets inside the points decided so far
+    out = [0]
+    for x in sorted(range(p.size), key=lambda x: p.up[x].bit_count()):
+        bit, above = 1 << x, p.up[x] & ~(1 << x)
+        out += [u | bit for u in out if u & above == above]
     out.sort()
     return out
 
@@ -242,14 +226,8 @@ def epsilon(x: FinitePoset, max_size: int = MAX_ALGEBRA_SIZE) -> FiniteAlgebra:
             d |= down[b]
         return full & ~d
 
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ui = ups[i]
-        mrow, jrow = meet[i], join[i]
-        for j in range(n):
-            mrow[j] = index[ui & ups[j]]
-            jrow[j] = index[ui | ups[j]]
+    meet = [tuple([index[ui & u] for u in ups]) for ui in ups]
+    join = [tuple([index[ui | u] for u in ups]) for ui in ups]
     star = [index[star_mask(u)] for u in ups]
     return FiniteAlgebra(n, meet, join, star, 0, n - 1)
 

@@ -38,7 +38,6 @@ from .logic import (
     Star,
     Term,
     Var,
-    eval_term,
     format_quasiequation,
     make_ib,
     make_qb,

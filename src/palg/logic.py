@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteAlgebra, make_bn
+from .search import Backtrack
 
 DEFAULT_SWEEP_BUDGET = 50_000_000
 _GRID_CELLS = 1 << 18
@@ -88,26 +89,19 @@ class Quasiequation:
     conclusion: tuple[Term, Term]
 
 
-def term_variables(t: Term, acc: list[str]) -> None:
-    if isinstance(t, Var):
-        if t.name not in acc:
-            acc.append(t.name)
-    elif isinstance(t, Meet) or isinstance(t, Join):
-        term_variables(t.left, acc)
-        term_variables(t.right, acc)
-    elif isinstance(t, Star):
-        term_variables(t.arg, acc)
-
-
 def variables_of(q: Quasiequation) -> list[str]:
     """Variables in order of first occurrence, premises before conclusion."""
-    acc: list[str] = []
-    for lhs, rhs in q.premises:
-        term_variables(lhs, acc)
-        term_variables(rhs, acc)
-    term_variables(q.conclusion[0], acc)
-    term_variables(q.conclusion[1], acc)
-    return acc
+    seen: dict[str, None] = {}
+    todo = [t for eq in reversed((*q.premises, q.conclusion)) for t in reversed(eq)]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            seen.setdefault(t.name)
+        elif isinstance(t, (Meet, Join)):
+            todo += (t.right, t.left)
+        elif isinstance(t, Star):
+            todo.append(t.arg)
+    return list(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +154,18 @@ class _Parser:
         return self.join()
 
     def join(self) -> Term:
-        left = self.meet()
-        if self.peek()[0] == "JOIN":
+        terms = [self.meet()]
+        while self.peek()[0] == "JOIN":
             self.i += 1
-            return Join(left, self.join())
-        return left
+            terms.append(self.meet())
+        return _join_all(terms)
 
     def meet(self) -> Term:
-        left = self.unary()
-        if self.peek()[0] == "^":
+        terms = [self.unary()]
+        while self.peek()[0] == "^":
             self.i += 1
-            return Meet(left, self.meet())
-        return left
+            terms.append(self.unary())
+        return _meet_all(terms)
 
     def unary(self) -> Term:
         t = self.atom()
@@ -261,39 +255,15 @@ def format_quasiequation(q: Quasiequation) -> str:
 
 
 def eval_term(t: Term, a: FiniteAlgebra, valuation: dict[str, int]) -> int:
-    """Structural evaluation through the algebra's tables."""
-    if isinstance(t, Var):
-        try:
-            return valuation[t.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Const):
-        return a.zero if t.value == 0 else a.one
-    if isinstance(t, Meet):
-        return a.meet[eval_term(t.left, a, valuation)][eval_term(t.right, a, valuation)]
-    if isinstance(t, Join):
-        return a.join[eval_term(t.left, a, valuation)][eval_term(t.right, a, valuation)]
-    if isinstance(t, Star):
-        return a.star[eval_term(t.arg, a, valuation)]
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _eval_np(t: Term, a: FiniteAlgebra, valuation: dict):
-    """Vectorized evaluation; valuation values are scalars or index arrays."""
-    if isinstance(t, Var):
-        try:
-            return valuation[t.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Const):
-        return a.zero if t.value == 0 else a.one
-    if isinstance(t, Meet):
-        return a.np_meet[_eval_np(t.left, a, valuation), _eval_np(t.right, a, valuation)]
-    if isinstance(t, Join):
-        return a.np_join[_eval_np(t.left, a, valuation), _eval_np(t.right, a, valuation)]
-    if isinstance(t, Star):
-        return a.np_star[_eval_np(t.arg, a, valuation)]
-    raise TypeError(f"not a term: {t!r}")
+    """Evaluation through the algebra's tables, by the program a sweep
+    would compile for ``t = 1``."""
+    names = list(valuation)
+    prog = _compile(Quasiequation((), (t, ONE)), names)
+    r = prog.registers(a)
+    r[:len(names)] = valuation.values()
+    *steps, (_, _, reg, _) = prog.conclusion
+    _run(steps, r, a.meet, a.join, a.star)
+    return r[reg]
 
 
 # ---------------------------------------------------------------------------
@@ -316,153 +286,204 @@ class SatisfactionResult:
         return self.status == "satisfied"
 
 
-def _term_vars(t: Term) -> frozenset[str]:
-    acc: list[str] = []
-    term_variables(t, acc)
-    return frozenset(acc)
+# ---------------------------------------------------------------------------
+# compiled quasiequations
+
+_MEET, _JOIN, _STAR, _EQ = range(4)
 
 
-def _pin_candidates(a: FiniteAlgebra, var: str, lhs: Term, rhs: Term,
-                    val: dict[str, int], starinv) -> list[int] | None:
-    """Solve a premise for ``var`` when the other side is ground: supports
-    the shapes  var = t  and  var* = t  (either orientation)."""
-    for mine, other in ((lhs, rhs), (rhs, lhs)):
-        if _term_vars(other) - val.keys():
-            continue
-        if isinstance(mine, Var) and mine.name == var:
-            return [eval_term(other, a, val)]
-        if isinstance(mine, Star) and isinstance(mine.arg, Var) and mine.arg.name == var:
-            return starinv.get(eval_term(other, a, val), [])
-    return None
+@dataclass(frozen=True)
+class _Program:
+    """A quasiequation compiled against a variable order ``names``.
+
+    Registers ``0..k-1`` hold the variables in that order, ``k`` and
+    ``k+1`` the constants 0 and 1, and the rest temporaries.  A step
+    ``(op, d, x, y)`` stores ``x ^ y``, ``x v y`` or ``x*`` of registers
+    ``x``, ``y`` in register ``d``; an ``_EQ`` step checks ``x = y``.
+    ``levels[i]`` checks the premises whose last variable is ``names[i]``.
+    ``pins[i]``, if set, is ``(star, steps, reg)`` for the first premise,
+    lhs before rhs, of the shape ``names[i] = t`` or ``names[i]* = t``
+    with ``t`` over earlier variables; ``steps`` leave ``t`` in ``reg``.
+    """
+
+    size: int
+    ground: list
+    levels: list
+    pins: list
+    conclusion: list
+
+    def registers(self, a: FiniteAlgebra) -> list:
+        r = [0] * self.size
+        k = len(self.levels)
+        r[k], r[k + 1] = a.zero, a.one
+        return r
+
+
+def _compile(q: Quasiequation, names: list[str]) -> _Program:
+    k = len(names)
+    slots = {name: i for i, name in enumerate(names)}
+    base = size = k + 2
+
+    def emit(t: Term, top: int, steps: list) -> tuple[int, int]:
+        """Append the steps computing ``t``, with temporaries allocated as
+        a stack from ``top``; return the register holding ``t`` (``top``
+        when ``t`` is compound) and the last variable register it reads."""
+        nonlocal size
+        out: list[int] = []
+        last = -1
+        todo: list = [t]
+        while todo:
+            t = todo.pop()
+            kind = type(t)
+            if kind is Var:
+                if t.name not in slots:
+                    raise UnboundVariableError(f"unbound variable {t.name!r}")
+                out.append(slots[t.name])
+                last = max(last, slots[t.name])
+            elif kind is Const:
+                out.append(k if t.value == 0 else k + 1)
+            elif kind is Star:
+                todo += (_STAR, t.arg)
+            elif kind is Meet or kind is Join:
+                todo += (_MEET if kind is Meet else _JOIN, t.right, t.left)
+            elif kind is int:  # an operator whose operands are on ``out``
+                y = out.pop()
+                x = y if t == _STAR else out.pop()
+                top -= (x >= base) + (t != _STAR and y >= base)
+                steps.append((t, top, x, y))
+                out.append(top)
+                top += 1
+                size = max(size, top)
+            else:
+                raise TypeError(f"not a term: {t!r}")
+        return out[0], last
+
+    def check(lhs: Term, rhs: Term) -> tuple[list, int]:
+        steps: list = []
+        x, lx = emit(lhs, base, steps)
+        y, ly = emit(rhs, max(base, x + 1), steps)
+        steps.append((_EQ, 0, x, y))
+        return steps, max(lx, ly)
+
+    ground: list = []
+    levels: list[list] = [[] for _ in names]
+    pins: list = [None] * k
+    for lhs, rhs in q.premises:
+        steps, last = check(lhs, rhs)
+        (levels[last] if last >= 0 else ground).extend(steps)
+        for mine, other in ((lhs, rhs), (rhs, lhs)):
+            star = isinstance(mine, Star)
+            var = mine.arg if star else mine
+            if not isinstance(var, Var) or var.name not in slots or pins[slots[var.name]]:
+                continue
+            pin_steps: list = []
+            reg, last = emit(other, base, pin_steps)
+            if last < slots[var.name]:
+                pins[slots[var.name]] = (star, pin_steps, reg)
+    conclusion = check(*q.conclusion)[0]
+    return _Program(size, ground, levels, pins, conclusion)
+
+
+def _run(steps: list, r: list, meet, join, star) -> bool:
+    """Run steps on scalar registers; False at the first failed check."""
+    for op, d, x, y in steps:
+        if op == _EQ:
+            if r[x] != r[y]:
+                return False
+        elif op == _MEET:
+            r[d] = meet[r[x]][r[y]]
+        elif op == _JOIN:
+            r[d] = join[r[x]][r[y]]
+        else:
+            r[d] = star[r[x]]
+    return True
+
+
+def _run_grid(steps: list, r: list, mask: np.ndarray, a: FiniteAlgebra) -> bool:
+    """Run steps on registers holding index arrays, narrowing ``mask`` to
+    the cells that pass each check; False once it is empty.  Reads the
+    numpy tables of ``a`` only as the steps need them."""
+    for op, d, x, y in steps:
+        if op == _EQ:
+            mask &= r[x] == r[y]
+            if not mask.any():
+                return False
+        elif op == _MEET:
+            r[d] = a.np_meet[r[x], r[y]]
+        elif op == _JOIN:
+            r[d] = a.np_join[r[x], r[y]]
+        else:
+            r[d] = a.np_star[r[x]]
+    return True
 
 
 def _sweep_backtrack(a: FiniteAlgebra, q: Quasiequation, names: list[str],
                      budget: int) -> SatisfactionResult:
-    n = a.size
+    prog = _compile(q, names)
+    meet, join, star = a.meet, a.join, a.star
+    r = prog.registers(a)
+    if not _run(prog.ground, r, meet, join, star):
+        return SatisfactionResult("satisfied", None, 0)
     starinv: dict[int, list[int]] = {}
-    for x in range(n):
-        starinv.setdefault(a.star[x], []).append(x)
-    prem_by_level: list[list[tuple[Term, Term]]] = [[] for _ in names]
-    seen: set[str] = set()
-    for lvl, name in enumerate(names):
-        seen.add(name)
-        for lhs, rhs in q.premises:
-            vs = _term_vars(lhs) | _term_vars(rhs)
-            if name in vs and vs <= seen:
-                prem_by_level[lvl].append((lhs, rhs))
-    ground_prems = [(l, r) for l, r in q.premises if not (_term_vars(l) | _term_vars(r))]
-    val: dict[str, int] = {}
-    count = 0
+    for x in range(a.size):
+        starinv.setdefault(star[x], []).append(x)
+    every = range(a.size)
 
-    for lhs, rhs in ground_prems:
-        if eval_term(lhs, a, val) != eval_term(rhs, a, val):
-            return SatisfactionResult("satisfied", None, 0)
+    def candidates(i, f, state):
+        pin = prog.pins[i]
+        if pin is None:
+            return every
+        is_star, steps, reg = pin
+        _run(steps, r, meet, join, star)
+        return starinv.get(r[reg], ()) if is_star else (r[reg],)
 
-    def rec(lvl: int):
-        nonlocal count
-        if lvl == len(names):
-            if eval_term(q.conclusion[0], a, val) != eval_term(q.conclusion[1], a, val):
-                return dict(val)
-            return None
-        name = names[lvl]
-        cand: list[int] | range = range(n)
-        for lhs, rhs in q.premises:
-            pinned = _pin_candidates(a, name, lhs, rhs, val, starinv)
-            if pinned is not None:
-                cand = pinned
-                break
-        for u in cand:
-            count += 1
-            if count > budget:
-                return "budget"
-            val[name] = u
-            ok = all(eval_term(l, a, val) == eval_term(r, a, val)
-                     for l, r in prem_by_level[lvl])
-            if ok:
-                res = rec(lvl + 1)
-                if res is not None:
-                    del val[name]
-                    return res
-            del val[name]
-        return None
+    def accept(i, f, state):
+        r[i] = f[i]
+        steps = prog.levels[i]
+        return state if not steps or _run(steps, r, meet, join, star) else None
 
-    res = rec(0)
-    if res == "budget":
-        return SatisfactionResult("inconclusive", None, count)
-    if res is None:
-        return SatisfactionResult("satisfied", None, count)
-    return SatisfactionResult("falsified", res, count)
+    search = Backtrack(len(names), candidates, accept, budget)
+    for f in search.solutions(True):
+        if not _run(prog.conclusion, r, meet, join, star):
+            return SatisfactionResult("falsified", dict(zip(names, f)), search.nodes)
+    status = "inconclusive" if search.exhausted else "satisfied"
+    return SatisfactionResult(status, None, search.nodes)
 
 
 def _sweep_grid(a: FiniteAlgebra, q: Quasiequation, names: list[str],
                 budget: int) -> SatisfactionResult:
-    n = a.size
-    k = len(names)
-    g = 1
+    prog = _compile(q, names)
+    n, k = a.size, len(names)
+    g = min(k, 1)
     while g < k and n ** (g + 1) <= _GRID_CELLS:
         g += 1
-    lead, tail = names[:k - g], names[k - g:]
-    cells = n ** g
-    grids = {}
-    flat = np.arange(cells)
-    for i, name in enumerate(tail):
-        grids[name] = (flat // (n ** (g - 1 - i))) % n
+    lead, cells = k - g, n ** g
+    tables = a.meet, a.join, a.star
+    r = prog.registers(a)
+    if not _run(prog.ground, r, *tables):
+        return SatisfactionResult("satisfied", None, 0)
+    r[lead:k] = np.indices((n,) * g).reshape(g, cells)
+    *concl, (_, _, lhs, rhs) = prog.conclusion
+    leaf = [step for level in prog.levels[lead:] for step in level] + concl
+    every = range(n)
+
+    def accept(i, f, state):
+        r[i] = f[i]
+        return state if _run(prog.levels[i], r, *tables) else None
+
     checked = 0
-    prem_by_level: list[list[tuple[Term, Term]]] = [[] for _ in lead]
-    seen: set[str] = set()
-    for lvl, name in enumerate(lead):
-        seen.add(name)
-        for lhs, rhs in q.premises:
-            vs = _term_vars(lhs) | _term_vars(rhs)
-            if name in vs and vs <= seen:
-                prem_by_level[lvl].append((lhs, rhs))
-    tail_prems = [(l, r) for l, r in q.premises
-                  if (_term_vars(l) | _term_vars(r)) & set(tail)]
-    val: dict[str, int] = {}
-
-    def leaf():
-        nonlocal checked
+    for f in Backtrack(lead, lambda i, f, state: every, accept).solutions(True):
         checked += cells
-        env = dict(val)
-        env.update(grids)
         mask = np.ones(cells, dtype=bool)
-        for lhs, rhs in tail_prems:
-            mask &= np.equal(_eval_np(lhs, a, env), _eval_np(rhs, a, env))
-            if not mask.any():
-                return None
-        mask &= np.not_equal(_eval_np(q.conclusion[0], a, env),
-                             _eval_np(q.conclusion[1], a, env))
-        if not mask.any():
-            return None
-        cell = int(np.argmax(mask))
-        out = dict(val)
-        for i, name in enumerate(tail):
-            out[name] = (cell // (n ** (g - 1 - i))) % n
-        return out
-
-    def rec(lvl: int):
-        if lvl == len(lead):
-            return leaf()
-        name = lead[lvl]
-        for u in range(n):
-            val[name] = u
-            if all(eval_term(l, a, val) == eval_term(r, a, val)
-                   for l, r in prem_by_level[lvl]):
-                res = rec(lvl + 1)
-                if res is not None:
-                    del val[name]
-                    return res
-            del val[name]
-        return None
-
-    for lhs, rhs in q.premises:
-        if not (_term_vars(lhs) | _term_vars(rhs)):
-            if eval_term(lhs, a, {}) != eval_term(rhs, a, {}):
-                return SatisfactionResult("satisfied", None, 0)
-    res = rec(0)
-    if res is None:
-        return SatisfactionResult("satisfied", None, checked)
-    return SatisfactionResult("falsified", res, checked)
+        if not _run_grid(leaf, r, mask, a):
+            continue
+        mask &= r[lhs] != r[rhs]
+        if mask.any():
+            cell = int(np.argmax(mask))
+            out = dict(zip(names, f))
+            out.update((names[i], int(r[i][cell])) for i in range(lead, k))
+            return SatisfactionResult("falsified", out, checked)
+    return SatisfactionResult("satisfied", None, checked)
 
 
 def satisfies(a: FiniteAlgebra, q: Quasiequation,
@@ -470,19 +491,21 @@ def satisfies(a: FiniteAlgebra, q: Quasiequation,
     """Exhaustive valuation sweep, lexicographic in (variable order,
     element index); reports the least falsifier.
 
-    Small valuation spaces are swept on vectorized grids; larger ones fall
-    back to a backtracking sweep that prunes on ground premises and solves
-    premises of the shapes ``x = t`` / ``x* = t`` for their variable.  If
-    neither finishes within budget the result is inconclusive.
+    The quasiequation is compiled once into a straight-line program over
+    registers (:class:`_Program`), which both engines run.  Small valuation
+    spaces are swept on vectorized grids; larger ones fall back to a
+    backtracking sweep that checks each premise as soon as its variables
+    are bound and solves, per variable, the first premise of the shape
+    ``x = t`` / ``x* = t`` over earlier variables.  If neither finishes
+    within budget the result is inconclusive.
     """
     names = variables_of(q)
     if not names:
-        holds = all(eval_term(l, a, {}) == eval_term(r, a, {}) for l, r in q.premises)
-        if not holds:
-            return SatisfactionResult("satisfied", None, 1)
-        if eval_term(q.conclusion[0], a, {}) == eval_term(q.conclusion[1], a, {}):
-            return SatisfactionResult("satisfied", None, 1)
-        return SatisfactionResult("falsified", {}, 1)
+        prog = _compile(q, names)
+        r, tables = prog.registers(a), (a.meet, a.join, a.star)
+        if _run(prog.ground, r, *tables) and not _run(prog.conclusion, r, *tables):
+            return SatisfactionResult("falsified", {}, 1)
+        return SatisfactionResult("satisfied", None, 1)
     if a.size ** len(names) <= budget:
         return _sweep_grid(a, q, names, budget)
     return _sweep_backtrack(a, q, names, budget)

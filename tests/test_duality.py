@@ -125,6 +125,18 @@ class TestEpsilon:
         i = ups.index(0b001)
         assert ups[a.star[i]] == 0b010
 
+    def test_upsets_match_a_subset_filter(self):
+        for p in posets_up_to(4):
+            brute = [u for u in range(1 << p.size)
+                     if all(p.up[x] & ~u == 0 for x in range(p.size) if u >> x & 1)]
+            assert upsets_of(p) == brute
+
+    def test_upsets_of_a_long_chain(self):
+        # point x lies below the points 0..x-1, so the upsets are the prefixes
+        n = 1100
+        chain = FinitePoset(n, tuple((1 << (x + 1)) - 1 for x in range(n)))
+        assert upsets_of(chain) == [(1 << j) - 1 for j in range(n + 1)]
+
 
 class TestPPMaps:
     def test_identity_is_pp(self):

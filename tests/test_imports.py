@@ -1,0 +1,29 @@
+"""Every name a ``palg`` module imports is used in that module; the
+re-exports of ``__init__.py`` are exempt."""
+
+import ast
+import pathlib
+
+import pytest
+
+import palg
+
+MODULES = sorted(p for p in pathlib.Path(palg.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used) == []

@@ -25,6 +25,8 @@ from palg import (
     satisfies,
     variety_satisfies,
 )
+from palg import logic, reports
+from palg.steiner import fano_system, poset_of
 
 
 class TestParse:
@@ -104,6 +106,41 @@ class TestEval:
     def test_unbound_variable(self, bn):
         with pytest.raises(UnboundVariableError):
             eval_term(parse("x ^ y"), bn[1], {"x": 0})
+
+
+def _eps_fano():
+    return epsilon(poset_of(fano_system()))
+
+
+# status, least falsifier and valuation count of sweeps before they were
+# compiled; the budget picks the engine (grid when n^k <= budget)
+PINNED_SWEEPS = [
+    ("eps_w4-qb3", reports.eps_w4, make_qb(3), 50_000_000, "_sweep_backtrack",
+     "falsified", {"x1": 457, "x2": 458, "x3": 916}, 1_019_405),
+    ("b5-qb4", lambda: make_bn(5), make_qb(4), 33 ** 4 - 1, "_sweep_backtrack",
+     "falsified", {"x1": 1, "x2": 2, "x3": 4, "x4": 24}, 2_112),
+    ("eps_fano-qb3", _eps_fano, make_qb(3), 50_000_000, "_sweep_backtrack",
+     "satisfied", None, 224_656),
+    ("eps_fano-qb2", _eps_fano, make_qb(2), 50_000_000, "_sweep_grid",
+     "falsified", {"x1": 1, "x2": 449}, 209_764),
+    # y has two pins; the first one, y* = x ^ x*, sets the count
+    ("b4-first-pin", lambda: make_bn(4), parse("x ^ y = 0 & y* = x ^ x* & y = x* => y = x*"),
+     17 ** 2 - 1, "_sweep_backtrack", "satisfied", None, 51),
+]
+
+
+@pytest.mark.parametrize("build, q, budget, engine, status, falsifier, checked",
+                         [case[1:] for case in PINNED_SWEEPS],
+                         ids=[case[0] for case in PINNED_SWEEPS])
+def test_sweep_counts_are_pinned(monkeypatch, build, q, budget, engine, status,
+                                 falsifier, checked):
+    ran = []
+    for name in ("_sweep_grid", "_sweep_backtrack"):
+        real = getattr(logic, name)
+        monkeypatch.setattr(logic, name,
+                            lambda *args, name=name, real=real: ran.append(name) or real(*args))
+    res = satisfies(build(), q, budget=budget)
+    assert (ran, res.status, res.falsifier, res.checked) == ([engine], status, falsifier, checked)
 
 
 class TestSatisfies:

@@ -1,11 +1,17 @@
 """Seeded randomized cross-checks between independent code paths."""
 
+import itertools
 import random
 
 import pytest
 
 from palg import (
+    Const,
+    Join,
+    Meet,
     Quasiequation,
+    Star,
+    Var,
     all_posets,
     delta,
     enumerate_embeddings,
@@ -23,7 +29,7 @@ from palg import (
 )
 from palg.duality import enumerate_ppmorphisms
 from palg.free import _random_term
-from palg.logic import _sweep_backtrack, _sweep_grid, variables_of
+from palg.logic import ONE, ZERO, _sweep_backtrack, _sweep_grid, variables_of
 from palg.serialize import algebra_from_dict, algebra_to_dict
 
 
@@ -59,6 +65,66 @@ def test_sweep_engines_agree_on_random_inputs(seed):
         r1 = _sweep_backtrack(a, q, names, 10 ** 7)
         r2 = _sweep_grid(a, q, names, 10 ** 7)
         assert (r1.status, r1.falsifier) == (r2.status, r2.falsifier), (a, q)
+
+
+def table_eval(t, a, val):
+    """Structural evaluation through the tables, kept apart from palg's."""
+    if isinstance(t, Var):
+        return val[t.name]
+    if isinstance(t, Const):
+        return a.one if t.value else a.zero
+    if isinstance(t, Star):
+        return a.star[table_eval(t.arg, a, val)]
+    table = a.meet if isinstance(t, Meet) else a.join
+    return table[table_eval(t.left, a, val)][table_eval(t.right, a, val)]
+
+
+def least_falsifier(a, q, names):
+    """The first valuation in (variable order, element index) order that
+    satisfies every premise and breaks the conclusion, or None."""
+    for values in itertools.product(range(a.size), repeat=len(names)):
+        val = dict(zip(names, values))
+        if (all(table_eval(l, a, val) == table_eval(r, a, val) for l, r in q.premises)
+                and table_eval(q.conclusion[0], a, val) != table_eval(q.conclusion[1], a, val)):
+            return val
+    return None
+
+
+def random_pinning_quasiequation(rng, names):
+    """Premises mix free equations, ground ones (true or false) and the
+    shapes ``x = t``, ``x* = t``, ``t = x*`` that the backtrack sweep pins."""
+    premises = []
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            premises.append((_random_term(rng, names, 2), _random_term(rng, names, 2)))
+        elif kind == 1:
+            premises.append((rng.choice([ZERO, ONE, Star(ZERO)]), rng.choice([ZERO, ONE, Star(ONE)])))
+        else:
+            x = rng.choice(names)
+            mine = Star(Var(x)) if kind == 3 else Var(x)
+            others = [y for y in names if y != x]
+            other = (_random_term(rng, others, rng.randrange(3)) if others
+                     else rng.choice([ZERO, ONE]))
+            premises.append((mine, other) if rng.randrange(2) else (other, mine))
+    return Quasiequation(tuple(premises), (_random_term(rng, names, rng.randrange(1, 4)),
+                                           _random_term(rng, names, rng.randrange(1, 4))))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_engines_match_a_brute_force_oracle(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(40):
+        a = random_algebra(rng)
+        # as many variables, up to three, as keep the brute force small
+        k = next(j for j in (3, 2, 1) if a.size ** j <= 3000 or j == 1)
+        q = random_pinning_quasiequation(rng, ["x", "y", "z"][:k])
+        names = variables_of(q)
+        expected = least_falsifier(a, q, names)
+        for engine in (_sweep_backtrack, _sweep_grid):
+            res = engine(a, q, names, 10 ** 7)
+            assert res.status == ("satisfied" if expected is None else "falsified"), (a, q)
+            assert res.falsifier == expected, (engine, a, q)
 
 
 def test_random_algebras_validate():

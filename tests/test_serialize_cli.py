@@ -153,17 +153,30 @@ class TestCli:
     def test_resource_exit_code(self):
         assert main(["make", "bn", "13"]) == 3
 
-    def test_deep_term_is_a_resource_limit(self, tmp_path):
+    def test_deep_terms_at_the_cli(self, tmp_path):
         b1 = tmp_path / "b1.json"
         assert main(["make", "bn", "1", "--out", str(b1)]) == 0
-        deep = tmp_path / "deep.txt"
-        deep.write_text(" v ".join(["x"] * 1500) + " = 1\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
-        run = subprocess.run([sys.executable, "-m", "palg.cli", "check", "quasieq",
-                              "--algebra", str(b1), "--q-file", str(deep)],
-                             capture_output=True, text=True, env=env, timeout=60)
-        assert run.returncode == 3
-        assert run.stderr.startswith("resource limit:") and "Traceback" not in run.stderr
+
+        def check(*q):
+            return subprocess.run([sys.executable, "-m", "palg.cli", "check", "quasieq",
+                                   "--algebra", str(b1), *q],
+                                  capture_output=True, text=True, env=env, timeout=60)
+
+        # a 1500-join chain runs end to end: sweeping 1501 variables
+        # falsifies ``t = 1`` at the all-zero valuation
+        chain = check("--q", " v ".join(f"x{i}" for i in range(1501)))
+        assert chain.returncode == 1 and "Traceback" not in chain.stderr
+        assert chain.stdout.startswith("false\n")
+        assert json.loads(chain.stdout.split("falsifier:")[1]) == {f"x{i}": 0 for i in range(1501)}
+        deep = tmp_path / "deep.txt"
+        deep.write_text(" v ".join(["x"] * 1500) + " = x\n")
+        same = check("--q-file", str(deep))
+        assert (same.returncode, same.stdout) == (0, "true\n")
+        # parenthesis nesting still recurses in the parser: a resource limit
+        nested = check("--q", "(" * 1500 + "x" + ")" * 1500)
+        assert nested.returncode == 3
+        assert nested.stderr.startswith("resource limit:") and "Traceback" not in nested.stderr
 
     def test_input_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
