@@ -121,7 +121,8 @@ def _cmd_check(args) -> int:
         rep = validate_palgebra(a)
     elif args.what == "poset":
         data = load_json(args.file)
-        p = FinitePoset.from_covers(int(data["size"]), [tuple(c) for c in data["covers"]])
+        p = FinitePoset.from_covers(serialize.declared_size(data),
+                                    [tuple(c) for c in data["covers"]])
         rep = validate_poset(p)
     elif args.what == "ppmap":
         src = _load_poset(args.src)

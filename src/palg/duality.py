@@ -66,15 +66,19 @@ class FinitePoset:
             if not (0 <= lo < size and 0 <= hi < size):
                 raise StructureError("cover index out of range")
             adj[lo].append(hi)
-        for _ in range(size):
+        changed = True
+        while changed:
+            changed = False
             for x in range(size):
                 m = up[x]
                 for y in adj[x]:
                     m |= up[y]
-                up[x] = m
+                if m != up[x]:
+                    up[x] = m
+                    changed = True
         for x in range(size):
-            for y in range(size):
-                if x != y and (up[x] >> y) & 1 and (up[y] >> x) & 1:
+            for y in _bits(up[x] & ~(1 << x)):
+                if (up[y] >> x) & 1:
                     raise StructureError(f"cover list is cyclic through ({x}, {y})")
         return cls(size, tuple(up))
 
@@ -126,32 +130,21 @@ EMPTY_POSET = FinitePoset(0, ())
 
 
 def validate_poset(p: FinitePoset) -> ValidationReport:
-    """Reflexivity, antisymmetry and transitivity by exhaustive scan."""
-    viol = []
+    """Reflexivity, antisymmetry and transitivity; each law reports its
+    first failure in row-major order."""
+    up = p.up
+    viol = [Violation("reflexive", (x,)) for x in range(p.size) if not (up[x] >> x) & 1][:1]
+    anti = trans = None
     for x in range(p.size):
-        if not p.leq(x, x):
-            viol.append(Violation("reflexive", (x,)))
+        for y in _bits(up[x] & ~(1 << x)):
+            if anti is None and (up[y] >> x) & 1:
+                anti = Violation("antisymmetric", (x, y))
+            gap = up[y] & ~up[x]
+            if trans is None and gap:
+                trans = Violation("transitive", (x, y, (gap & -gap).bit_length() - 1))
+        if anti and trans:
             break
-    done = False
-    for x in range(p.size):
-        for y in range(p.size):
-            if x != y and p.leq(x, y) and p.leq(y, x):
-                viol.append(Violation("antisymmetric", (x, y)))
-                done = True
-                break
-        if done:
-            break
-    done = False
-    for x in range(p.size):
-        for y in range(p.size):
-            if x != y and p.leq(x, y) and (p.up[y] & ~p.up[x]):
-                gap = p.up[y] & ~p.up[x]
-                z = (gap & -gap).bit_length() - 1
-                viol.append(Violation("transitive", (x, y, z)))
-                done = True
-                break
-        if done:
-            break
+    viol += [v for v in (anti, trans) if v]
     return ValidationReport(ok=not viol, violations=tuple(viol))
 
 
@@ -192,8 +185,9 @@ def delta(a: FiniteAlgebra) -> tuple[FinitePoset, tuple[int, ...]]:
     return FinitePoset(n, tuple(up)), labels
 
 
-def upsets_of(p: FinitePoset) -> list[int]:
-    """All upsets as bitmasks, ascending numerically."""
+def upsets_of(p: FinitePoset, max_count: int | None = None) -> list[int]:
+    """All upsets as bitmasks, ascending numerically; raises
+    :class:`ResourceLimitError` as soon as there are more than ``max_count``."""
     # decide points in ascending up-set size: y > x implies up(y) < up(x),
     # so every point above x is decided first, and after each step ``out``
     # holds exactly the upsets inside the points decided so far
@@ -201,6 +195,8 @@ def upsets_of(p: FinitePoset) -> list[int]:
     for x in sorted(range(p.size), key=lambda x: p.up[x].bit_count()):
         bit, above = 1 << x, p.up[x] & ~(1 << x)
         out += [u | bit for u in out if u & above == above]
+        if max_count is not None and len(out) > max_count:
+            raise ResourceLimitError(f"more than {max_count} upsets exceed the table budget")
     out.sort()
     return out
 
@@ -212,10 +208,8 @@ def epsilon(x: FinitePoset, max_size: int = MAX_ALGEBRA_SIZE) -> FiniteAlgebra:
     Elements are the upsets encoded as point bitsets, sorted ascending, so
     zero is index 0 and one is the last index.
     """
-    ups = upsets_of(x)
+    ups = upsets_of(x, max_size)
     n = len(ups)
-    if n > max_size:
-        raise ResourceLimitError(f"{n} upsets exceed the table budget {max_size}")
     index = {u: i for i, u in enumerate(ups)}
     full = (1 << x.size) - 1
     down = x.down
@@ -319,33 +313,40 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
     tables)``: backtracking over point images in index order with forward
     checking; ``search.nodes`` and ``search.exhausted`` report the work."""
     ns, nd = src.size, dst.size
-    up_s, up_d = src.up, dst.up
-    down_d = dst.down
+    up_s = src.up
     mu_s, mu_d = src.max_up_masks, dst.max_up_masks
-    card_s = [bin(m).count("1") for m in mu_s]
-    card_d = [bin(m).count("1") for m in mu_d]
+    card_d = [m.bit_count() for m in mu_d]
     # a point with k maximals above it can only land on a point with at
     # most k maximals above it, since f maps max up(x) onto max up(f(x))
-    dom0 = []
+    dom0 = [sum(1 << t for t in range(nd) if m.bit_count() >= card_d[t]) for m in mu_s]
+    # fixing f(i) = t narrows a later point y related to i to masks[t]:
+    # above i to up(t), below i to down(t), a maximal above i to max up(t)
+    # (inside up(t)); each node then touches only the points related to i
+    up_d, down_d = dst.up, dst.down
+    forward: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(ns)]
     for x in range(ns):
-        m = 0
-        for t in range(nd):
-            if card_s[x] >= card_d[t]:
-                m |= 1 << t
-        dom0.append(m)
-    strict_mu = [mu_s[x] & ~(1 << x) for x in range(ns)]
-    below_s = [0] * ns
-    for x in range(ns):
-        for y in _bits(up_s[x]):
-            below_s[y] |= 1 << x
+        for y in _bits(up_s[x] >> (x + 1)):
+            y += x + 1
+            forward[x].append((y, mu_d if (mu_s[x] >> y) & 1 else up_d))
+        for y in _bits(up_s[x] & ((1 << x) - 1)):
+            forward[y].append((x, down_d))
+    # a maximal point must land on a maximal point; for a maximal y above i
+    # and assigned before it, f(y) in max up(f(i)) then follows from f(i)
+    # lying in down(f(y))
+    max_s, max_d = src.maximal_mask, dst.maximal_mask
+    # forward checking keeps f(max up(x)) inside max up(f(x)), so a complete
+    # assignment is a pp-morphism iff no point of max up(f(x)) is missed,
+    # which only a point with two or more maximals above it can do
+    max_lists = [(x, list(_bits(m))) for x, m in enumerate(mu_s) if m & (m - 1)]
+    required_pts = set(_bits(required))
 
     def candidates(i, f, state):
         dom, covered = state
         # a required target still uncoverable by any remaining point is fatal
         if required:
             reach = covered
-            for x in range(i, ns):
-                reach |= dom[x]
+            for m in dom[i:]:
+                reach |= m
             if (reach & required) != required:
                 return ()
         return _bits(dom[i])
@@ -353,36 +354,25 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
     def accept(i, f, state):
         dom, covered = state
         t = f[i]
+        if (max_s >> i) & 1 and not (max_d >> t) & 1:
+            return None
         ndom = dom.copy()
-        ndom[i] = 1 << t
-        for y in range(i + 1, ns):
-            m = ndom[y]
-            if (up_s[i] >> y) & 1:
-                m &= up_d[t]
-            if (below_s[i] >> y) & 1:
-                m &= down_d[t]
-            if (strict_mu[i] >> y) & 1:
-                m &= mu_d[t]
-            if m == 0:
+        for y, masks in forward[i]:
+            m = ndom[y] & masks[t]
+            if not m:
                 return None
             ndom[y] = m
-        for y in _bits(mu_s[i]):
-            if y <= i and not ((mu_d[t] >> f[y]) & 1):
-                return None
         return ndom, covered | (1 << t)
 
     search = Backtrack(ns, candidates, accept, budget)
 
     def tables():
         for f in search.solutions((dom0, 0)):
-            covered = 0
-            for v in f:
-                covered |= 1 << v
-            if (covered & required) != required:
+            if not required_pts.issubset(f):
                 continue
-            for x in range(ns):
+            for x, ys in max_lists:
                 img = 0
-                for y in _bits(mu_s[x]):
+                for y in ys:
                     img |= 1 << f[y]
                 if img != mu_d[f[x]]:
                     break
@@ -560,6 +550,7 @@ class MembershipResult:
     status: str                    # "yes" | "no" | "inconclusive"
     witness: PPMap | None          # surjective pp-morphism onto delta(a)
     summands: tuple[int, ...]      # generator index used for each summand
+    nodes: int = 0                 # pp-search nodes spent in total
 
     def __bool__(self) -> bool:
         return self.status == "yes"
@@ -579,31 +570,28 @@ def finite_membership(a: FiniteAlgebra, generators: list[FiniteAlgebra],
     image contains it.  At most one summand per point is needed, which
     also bounds the multiplicity of each generator by ``delta(a)``'s
     size; a smaller ``max_copies`` restricts the witness accordingly.
-    "no" requires every per-point search to exhaust within budget.
+    The per-point searches share one ``budget`` of nodes, each getting
+    what the earlier ones left; "no" requires every search it rests on to
+    exhaust within it, and a spent budget ends the run "inconclusive".
     """
     target, _ = delta(a)
     if target.size == 0:
         return MembershipResult("yes", PPMap(EMPTY_POSET, target, ()), ())
     duals = [delta(g)[0] for g in generators]
     per_point: list[tuple[int, tuple[int, ...]] | None] = [None] * target.size
-    inconclusive = False
+    nodes = 0
     for t in range(target.size):
-        point_unsettled = False
         for gi, d in enumerate(duals):
-            status, table, _ = _pp_search(d, target, 1 << t, budget)
+            status, table, used = _pp_search(d, target, 1 << t, budget - nodes)
+            nodes += used
             if status == "found":
                 per_point[t] = (gi, table)
                 break
             if status == "inconclusive":
-                point_unsettled = True
+                return MembershipResult("inconclusive", None, (), nodes)
         if per_point[t] is None:
-            if point_unsettled:
-                inconclusive = True
-            else:
-                # no generator dual reaches this point: proven non-member
-                return MembershipResult("no", None, ())
-    if inconclusive:
-        return MembershipResult("inconclusive", None, ())
+            # no generator dual reaches this point: proven non-member
+            return MembershipResult("no", None, (), nodes)
     # assemble the witness, dropping summands whose image is already covered
     chosen: list[tuple[int, tuple[int, ...]]] = []
     covered = 0
@@ -619,8 +607,8 @@ def finite_membership(a: FiniteAlgebra, generators: list[FiniteAlgebra],
         for gi, _tab in chosen:
             counts[gi] += 1
         if any(c > max_copies for c in counts):
-            return MembershipResult("inconclusive", None, ())
+            return MembershipResult("inconclusive", None, (), nodes)
     union = disjoint_union([duals[gi] for gi, _ in chosen])
     table = tuple(v for _, tab in chosen for v in tab)
     return MembershipResult("yes", PPMap(union, target, table),
-                            tuple(gi for gi, _ in chosen))
+                            tuple(gi for gi, _ in chosen), nodes)

@@ -96,21 +96,42 @@ def table_homs(n: int, unary, binary, consts, cands, *, injective: bool = False,
     for s, t in consts:  # a point named by two constants must honour both
         prev = forced[s]
         forced[s] = (t,) if prev is None or prev == (t,) else ()
+    # Facts live in per-index lists and binary facts are grouped, not one
+    # tuple per fact: ``own[x]`` holds (target, source row, ys) for row x's
+    # facts with z <= x, checked when x is assigned; ``defs[z]`` holds
+    # (target, x, first y, other ys) for the facts op(x, y) = z > x, checked
+    # when z is assigned.  A point z > x is forced by its first definition
+    # in the scan order x, then unary ops, then y, then binary ops.
     unary_facts: list[list[tuple]] = [[] for _ in range(n)]
-    binary_facts: list[list[tuple]] = [[] for _ in range(n)]
+    own: list[list[tuple]] = [[] for _ in range(n)]
+    defs: list[list[tuple]] = [[] for _ in range(n)]
     for x in range(n):
-        # the first definition of z in this scan order uses only points below z
         for s, t in unary:
             z = s[x]
             unary_facts[max(x, z)].append((t, x, z))
             if z > x and forced[z] is None:
                 forced[z] = (t, x)
-        for y in range(x + 1):
-            for s, t in binary:
-                z = s[x][y]
-                binary_facts[max(x, z)].append((t, x, y, z))
-                if z > x and forced[z] is None:
-                    forced[z] = (t, x, y)
+        defined: dict[int, tuple] = {}
+        for s, t in binary:
+            row = s[x]
+            low = [y for y in range(x + 1) if row[y] <= x]
+            if low:
+                own[x].append((t, row, low))
+            if len(low) > x:
+                continue
+            groups: dict[int, list[int]] = {}
+            for y, z in enumerate(row[:x + 1]):
+                if z > x:
+                    if z in groups:
+                        groups[z].append(y)
+                    else:
+                        groups[z] = [y]
+            for z, ys in groups.items():
+                defs[z].append((t, x, ys[0], ys[1:]))
+                if forced[z] is None and (z not in defined or ys[0] < defined[z][2]):
+                    defined[z] = (t, x, ys[0])
+        for z, d in defined.items():
+            forced[z] = d
 
     def candidates(i, f, used):
         d = forced[i]
@@ -127,13 +148,23 @@ def table_homs(n: int, unary, binary, consts, cands, *, injective: bool = False,
         return c
 
     def accept(i, f, used):
-        for t, x, y, z in binary_facts[i]:
-            if t[f[x]][f[y]] != f[z]:
+        fi = f[i]
+        for t, x, y, more in defs[i]:
+            row = t[f[x]]
+            if row[f[y]] != fi:
                 return None
+            for y in more:
+                if row[f[y]] != fi:
+                    return None
+        for t, srow, ys in own[i]:
+            row = t[fi]
+            for y in ys:
+                if row[f[y]] != f[srow[y]]:
+                    return None
         for t, x, z in unary_facts[i]:
             if t[f[x]] != f[z]:
                 return None
-        return used | (1 << f[i])
+        return used | (1 << fi)
 
     search = Backtrack(n, candidates, accept, budget)
     found, complete = search.take((tuple(f) for f in search.solutions(0)), limit)

@@ -10,7 +10,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import FiniteAlgebra, StructureError, validate_palgebra
+from .core import (
+    MAX_ALGEBRA_SIZE,
+    FiniteAlgebra,
+    ResourceLimitError,
+    StructureError,
+    validate_palgebra,
+)
 from .duality import FinitePoset, validate_poset
 
 
@@ -25,9 +31,18 @@ def algebra_to_dict(a: FiniteAlgebra) -> dict:
     }
 
 
+def declared_size(data: dict) -> int:
+    """The file's ``size``, refused before anything is built for it when it
+    exceeds the table budget."""
+    size = int(data["size"])
+    if size > MAX_ALGEBRA_SIZE:
+        raise ResourceLimitError(f"size {size} exceeds the table budget {MAX_ALGEBRA_SIZE}")
+    return size
+
+
 def algebra_from_dict(data: dict) -> FiniteAlgebra:
     try:
-        a = FiniteAlgebra(int(data["size"]), data["meet"], data["join"],
+        a = FiniteAlgebra(declared_size(data), data["meet"], data["join"],
                           data["star"], int(data["zero"]), int(data["one"]))
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed algebra file: {exc}") from exc
@@ -44,7 +59,7 @@ def poset_to_dict(p: FinitePoset) -> dict:
 
 def poset_from_dict(data: dict) -> FinitePoset:
     try:
-        p = FinitePoset.from_covers(int(data["size"]),
+        p = FinitePoset.from_covers(declared_size(data),
                                     [tuple(c) for c in data["covers"]])
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed poset file: {exc}") from exc

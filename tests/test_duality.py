@@ -6,6 +6,7 @@ from palg import (
     EMPTY_POSET,
     FinitePoset,
     PPMap,
+    ResourceLimitError,
     StructureError,
     all_posets,
     compose_ppmaps,
@@ -52,6 +53,10 @@ class TestPosetBasics:
 
     def test_w4_ok(self):
         assert validate_poset(paste_w(4)).ok
+
+    def test_first_antisymmetry_violation_is_reported(self):
+        rep = validate_poset(FinitePoset.from_matrix([[True] * 3] * 3))
+        assert [(v.law, v.witness) for v in rep.violations] == [("antisymmetric", (0, 1))]
 
     def test_cyclic_covers_rejected(self):
         with pytest.raises(StructureError):
@@ -136,6 +141,15 @@ class TestEpsilon:
         n = 1100
         chain = FinitePoset(n, tuple((1 << (x + 1)) - 1 for x in range(n)))
         assert upsets_of(chain) == [(1 << j) - 1 for j in range(n + 1)]
+
+    def test_upset_count_is_capped_while_enumerating(self):
+        # a 3000-point antichain has 2^3000 upsets; the cap stops the doubling
+        antichain = FinitePoset(3000, tuple(1 << x for x in range(3000)))
+        with pytest.raises(ResourceLimitError):
+            upsets_of(antichain, 5000)
+        with pytest.raises(ResourceLimitError):
+            epsilon(antichain)
+        assert len(upsets_of(FinitePoset(12, tuple(1 << x for x in range(12))), 4096)) == 4096
 
 
 class TestPPMaps:

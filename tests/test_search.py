@@ -5,9 +5,11 @@ import itertools
 import random
 
 from palg import (
+    FinitePoset,
     all_posets,
     construct_sts,
     disjoint_union,
+    finite_membership,
     enumerate_embeddings,
     enumerate_homomorphisms,
     enumerate_quasigroup_homs,
@@ -17,13 +19,14 @@ from palg import (
     is_isomorphic,
     make_bn,
     make_p1,
+    paste_w,
     poset_of,
     posets_up_to,
     to_quasigroup,
     validate_ppmap,
 )
-from palg.duality import enumerate_ppmorphisms
-from palg.search import Backtrack
+from palg.duality import _pp_search, enumerate_ppmorphisms
+from palg.search import Backtrack, table_homs
 
 
 class TestKernel:
@@ -116,3 +119,115 @@ def test_reached_limit_marks_enumeration_incomplete():
     assert len(maps) == 1 and complete
     maps, complete = enumerate_ppmorphisms(point, point, limit=1)
     assert len(maps) == 1 and not complete  # as enumerate_homomorphisms reports it
+
+
+class TestPinnedPPEngine:
+    """Status and node counts of the pp engine at the values of its first
+    kernel version; the node count is the unit of every pp budget."""
+
+    def test_steiner_union_onto_fano_runs_out(self):
+        src = disjoint_union([poset_of(construct_sts(13)), poset_of(construct_sts(15))])
+        res = find_surjective_ppmorphism(src, poset_of(fano_system()), budget=80_000)
+        assert (res.status, res.nodes) == ("inconclusive", 80_001)
+
+    def test_steiner_onto_fan3_runs_out(self):
+        for v in (13, 15):
+            res = find_surjective_ppmorphism(poset_of(construct_sts(v)), make_p1(3),
+                                             budget=150_000)
+            assert (res.status, res.nodes) == ("inconclusive", 150_001), v
+
+    def test_planted_union_finds_its_witness(self):
+        fano = poset_of(fano_system())
+        src = disjoint_union([poset_of(construct_sts(13)), fano])
+        res = find_surjective_ppmorphism(src, fano, budget=150_000)
+        assert (res.status, res.nodes) == ("found", 123)
+        assert res.witness.table == (0,) * 39 + tuple(range(14))
+        assert validate_ppmap(res.witness).ok
+
+    def test_membership(self):
+        res = finite_membership(epsilon(paste_w(3)), [make_bn(3)])
+        assert (res.status, res.summands, res.nodes) == ("yes", (0,) * 9, 862)
+        assert res.witness.table == (0, 0, 0, 0, 0, 1, 2, 7, 0, 3, 4, 8, 0, 5, 6, 9, 1, 3,
+                                     6, 10, 1, 4, 5, 11, 2, 3, 5, 12, 2, 4, 6, 13, 5, 6,
+                                     14, 15)
+
+
+def test_membership_spends_one_budget():
+    """The per-point searches above take at most 391 nodes each and 862
+    together: 500 covers every one of them but not their sum."""
+    a, gens = epsilon(paste_w(3)), [make_bn(3)]
+    assert finite_membership(a, gens, budget=862).status == "yes"
+    for budget in (861, 500):
+        res = finite_membership(a, gens, budget=budget)
+        assert (res.status, res.witness, res.nodes) == ("inconclusive", None, budget + 1)
+
+
+def _least_covering(tables, k):
+    return next((tab for tab in tables if k in tab), None)
+
+
+def _relabel(p, rng):
+    """``p`` with its points renumbered at random, so that maximal points
+    can come after the points below them."""
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    up = [0] * p.size
+    for x in range(p.size):
+        for y in range(p.size):
+            if p.leq(x, y):
+                up[perm[x]] |= 1 << perm[y]
+    return FinitePoset(p.size, tuple(up))
+
+
+def test_pp_engine_matches_brute_force_on_larger_sources():
+    """Seeded, randomly numbered 5- and 6-point sources into targets of at
+    most 4 points, with the single-point ``required`` masks that membership
+    searches use."""
+    rng = random.Random(11)
+    sources = list(all_posets(5)) + list(all_posets(6))
+    targets = [t for t in posets_up_to(4) if t.size]
+    nodes = 0
+    for _ in range(20):
+        s, t = _relabel(rng.choice(sources), rng), _relabel(rng.choice(targets), rng)
+        brute = _brute_ppmorphisms(s, t)
+        maps, complete = enumerate_ppmorphisms(s, t)
+        assert complete and [m.table for m in maps] == brute, (s, t)
+        surjective = [tab for tab in brute if set(tab) == set(range(t.size))]
+        res = find_surjective_ppmorphism(s, t)
+        assert res.status == ("found" if surjective else "none"), (s, t)
+        assert res.witness is None or res.witness.table == surjective[0]
+        nodes += res.nodes
+        for k in range(t.size):
+            status, table, used = _pp_search(s, t, 1 << k, 10_000)
+            least = _least_covering(brute, k)
+            assert (status, table) == (("found", least) if least else ("none", None)), (s, t, k)
+            nodes += used
+    assert nodes == 1007  # the search tree is pinned as well as its answers
+
+
+def test_table_homs_match_brute_force():
+    """Random commutative operations, neither idempotent nor lattice-like,
+    pulled back along a planted surjection ``h`` so that maps exist."""
+    rng = random.Random(3)
+    for _ in range(200):
+        m = rng.randrange(1, 4)
+        n = rng.randrange(m, 7)
+        h = tuple(range(m)) + tuple(rng.randrange(m) for _ in range(n - m))
+        fibre = [[x for x in range(n) if h[x] == v] for v in range(m)]
+        dst = [[0] * m for _ in range(m)]
+        src = [[0] * n for _ in range(n)]
+        for u in range(m):
+            for v in range(u + 1):
+                dst[u][v] = dst[v][u] = rng.randrange(m)
+        for x in range(n):
+            for y in range(x + 1):
+                src[x][y] = src[y][x] = rng.choice(fibre[dst[h[x]][h[y]]])
+        un_d = tuple(rng.randrange(m) for _ in range(m))
+        un_s = tuple(rng.choice(fibre[un_d[h[x]]]) for x in range(n))
+        unary = [(un_s, un_d)] if rng.random() < 0.5 else []
+        brute = [f for f in itertools.product(range(m), repeat=n)
+                 if all(dst[f[x]][f[y]] == f[src[x][y]] for x in range(n) for y in range(n))
+                 and all(t[f[x]] == f[s[x]] for s, t in unary for x in range(n))]
+        tables, complete, _nodes = table_homs(n, unary, [(src, dst)], [], [range(m)] * n)
+        assert h in brute
+        assert complete and tables == brute, (src, dst, unary)

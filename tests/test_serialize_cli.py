@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import palg
 
-from palg import StructureError, make_bn, make_p1, posets_up_to
+from palg import ResourceLimitError, StructureError, make_bn, make_p1, posets_up_to
 from palg.cli import main
 from palg.serialize import (
     algebra_from_dict,
@@ -40,6 +41,13 @@ class TestSerialization:
     def test_cyclic_poset_file_fails(self):
         with pytest.raises(StructureError):
             poset_from_dict({"size": 2, "covers": [[0, 1], [1, 0]]})
+
+    def test_oversized_files_are_refused_before_building(self):
+        with pytest.raises(ResourceLimitError):
+            poset_from_dict({"size": 100_000_000, "covers": []})
+        with pytest.raises(ResourceLimitError):
+            algebra_from_dict({"size": 100_000_000, "meet": [], "join": [], "star": [],
+                               "zero": 0, "one": 0})
 
     def test_dot_is_byte_stable(self, bn):
         assert poset_to_dot(make_p1(1)) == (
@@ -177,6 +185,23 @@ class TestCli:
         nested = check("--q", "(" * 1500 + "x" + ")" * 1500)
         assert nested.returncode == 3
         assert nested.stderr.startswith("resource limit:") and "Traceback" not in nested.stderr
+
+    def test_oversized_posets_are_a_resource_limit(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
+        antichain = tmp_path / "antichain.json"
+        antichain.write_text(json.dumps({"size": 3000, "covers": []}))
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"size": 100_000_000, "covers": []}))
+        for path in (antichain, huge):
+            start = time.perf_counter()
+            run = subprocess.run([sys.executable, "-m", "palg.cli", "dual", "epsilon", str(path)],
+                                 capture_output=True, text=True, env=env, timeout=60)
+            assert time.perf_counter() - start < 10, path.name
+            assert run.returncode == 3, run.stderr
+            lines = run.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("resource limit:"), run.stderr
+            assert "Traceback" not in run.stderr
+        assert main(["check", "poset", "--file", str(huge)]) == 3
 
     def test_input_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
