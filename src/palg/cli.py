@@ -112,17 +112,10 @@ def _cmd_make(args) -> int:
 def _cmd_check(args) -> int:
     if args.what == "palgebra":
         from .core import validate_palgebra
-        try:
-            a = FiniteAlgebra(**{k: load_json(args.file)[k]
-                                 for k in ("size", "meet", "join", "star", "zero", "one")})
-        except KeyError as exc:
-            print(f"malformed algebra file: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        a = serialize.parse_algebra(load_json(args.file))
         rep = validate_palgebra(a)
     elif args.what == "poset":
-        data = load_json(args.file)
-        p = FinitePoset.from_covers(serialize.declared_size(data),
-                                    [tuple(c) for c in data["covers"]])
+        p = serialize.parse_poset(load_json(args.file))
         rep = validate_poset(p)
     elif args.what == "ppmap":
         src = _load_poset(args.src)

@@ -10,8 +10,9 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,6 +52,19 @@ class ValidationReport:
         return self.ok
 
 
+def transpose(masks) -> tuple[int, ...]:
+    """The converse relation of one given by bitmask rows: bit ``x`` of
+    ``out[y]`` is set iff bit ``y`` of ``masks[x]`` is."""
+    out = [0] * len(masks)
+    for x, m in enumerate(masks):
+        bit = 1 << x
+        while m:
+            b = m & -m
+            out[b.bit_length() - 1] |= bit
+            m ^= b
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """Operation-table representation of a bounded-lattice-with-star candidate.
@@ -67,9 +81,11 @@ class FiniteAlgebra:
     one: int
 
     def __post_init__(self):
-        object.__setattr__(self, "meet", tuple(tuple(map(int, row)) for row in self.meet))
-        object.__setattr__(self, "join", tuple(tuple(map(int, row)) for row in self.join))
-        object.__setattr__(self, "star", tuple(map(int, self.star)))
+        # operator.index refuses floats and the like, where int() would truncate
+        index = operator.index
+        object.__setattr__(self, "meet", tuple(tuple(map(index, row)) for row in self.meet))
+        object.__setattr__(self, "join", tuple(tuple(map(index, row)) for row in self.join))
+        object.__setattr__(self, "star", tuple(map(index, self.star)))
         n = self.size
         if len(self.meet) != n or len(self.join) != n or len(self.star) != n:
             raise StructureError("table length does not match size")
@@ -114,15 +130,7 @@ class FiniteAlgebra:
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """``down_masks[x]`` has bit ``y`` set iff ``y <= x``."""
-        ups = self.up_masks
-        masks = [0] * self.size
-        for y in range(self.size):
-            m = ups[y]
-            while m:
-                b = m & (-m)
-                masks[b.bit_length() - 1] |= 1 << y
-                m ^= b
-        return tuple(masks)
+        return transpose(self.up_masks)
 
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
@@ -159,7 +167,7 @@ class AlgebraMap:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
+        object.__setattr__(self, "table", tuple(map(operator.index, self.table)))
         if len(self.table) != self.source.size:
             raise StructureError("map table length does not match source size")
 
@@ -300,40 +308,99 @@ def trivial_algebra() -> FiniteAlgebra:
     return FiniteAlgebra(1, ((0,),), ((0,),), (0,), 0, 0)
 
 
+def from_elements(elements, meet, join, star, zero, one) -> FiniteAlgebra:
+    """The algebra whose index ``i`` is ``elements[i]``.
+
+    ``meet(x)`` and ``join(x)`` give the row of ``x`` as a function of the
+    other element, and ``star`` maps an element to an element; ``zero``
+    and ``one`` are elements.  Rows are mapped, not looped, so a row
+    lookup such as ``mult[x].__getitem__`` costs no Python call per pair.
+    """
+    index = {e: i for i, e in enumerate(elements)}.__getitem__
+    return FiniteAlgebra(len(elements),
+                         [tuple(map(index, map(meet(x), elements))) for x in elements],
+                         [tuple(map(index, map(join(x), elements))) for x in elements],
+                         tuple(map(index, map(star, elements))), index(zero), index(one))
+
+
+def close(seeds, unary, rows, cap: int | None = None) -> set:
+    """Closure of ``seeds`` under the ``unary`` maps and the binary
+    operations given as row lookups (``row(x)`` maps ``y`` to ``x op y``).
+
+    Semi-naive: each round combines only the elements new in the last
+    round with all elements.  With a ``cap``, stops after the round in
+    which the closure passes it, so the caller can tell by its size.
+    """
+    closed = set(seeds)
+    frontier = list(closed)
+    while frontier:
+        current = list(closed)
+        fresh = set()
+        for f in unary:
+            fresh.update(map(f, frontier))
+        for row in rows:
+            fresh.update(*[map(row(x), current) for x in frontier])
+        fresh -= closed
+        closed |= fresh
+        if cap is not None and len(closed) > cap:
+            break
+        frontier = list(fresh)
+    return closed
+
+
+def upset_star(down):
+    """``U* = X minus down(U)`` on upset bitmasks over points whose down-sets
+    are the masks ``down``."""
+    full = (1 << len(down)) - 1
+    # points with one strict down-set share one test: down(U) is U plus
+    # the strict down-set of each group that U meets
+    groups: dict[int, int] = {}
+    for b, d in enumerate(down):
+        strict = d & ~(1 << b)
+        if strict:
+            groups[strict] = groups.get(strict, 0) | (1 << b)
+    pairs = tuple(groups.items())
+
+    def star(u: int) -> int:
+        d = u
+        for below, group in pairs:
+            if u & group:
+                d |= below
+        return full & ~d
+
+    return star
+
+
+# meet and join rows of bitmask elements (a partial of a builtin calls
+# faster than the bound ``u.__and__``)
+BITWISE_ROWS = (lambda u: partial(operator.and_, u), lambda u: partial(operator.or_, u))
+
+
+def upset_algebra(masks, down) -> FiniteAlgebra:
+    """The algebra of the upsets ``masks`` (index ``i`` is ``masks[i]``) of
+    the poset whose down-sets are ``down``: meet and join are bitwise and/or,
+    zero is the empty upset and one the full one."""
+    return from_elements(masks, *BITWISE_ROWS, upset_star(down), 0, (1 << len(down)) - 1)
+
+
 def make_bn(n: int) -> FiniteAlgebra:
     """The subdirectly irreducible algebra with Boolean part of ``n`` atoms
     plus a new top.
 
-    Indexing: ``0..2^n-1`` is the Boolean part as an atom bitmask (so the
-    atoms sit at indices ``1, 2, 4, ...`` and the Boolean top ``e`` at
-    ``2^n - 1``); index ``2^n`` is the new top.  ``n = 0`` gives the
+    It is the upset algebra of the n-fan (maximals ``0..n-1`` over the
+    bottom ``n``), and its indices are the upset masks: ``0..2^n-1`` is the
+    Boolean part as an atom bitmask (so the atoms sit at indices
+    ``1, 2, 4, ...`` and the Boolean top ``e`` at ``2^n - 1``); index
+    ``2^n`` is the new top, the full mask.  ``n = 0`` gives the
     two-element Boolean algebra.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > MAX_BN_ATOMS:
         raise ResourceLimitError(f"make_bn bound is {MAX_BN_ATOMS} atoms (2^n+1 elements materialized)")
-    b = 1 << n
-    size = b + 1
-    one = b
-    e = b - 1
-    meet = [[0] * size for _ in range(size)]
-    join = [[0] * size for _ in range(size)]
-    for x in range(b):
-        for y in range(b):
-            meet[x][y] = x & y
-            join[x][y] = x | y
-    for x in range(b):
-        meet[x][one] = meet[one][x] = x
-        join[x][one] = join[one][x] = one
-    meet[one][one] = one
-    join[one][one] = one
-    star = [0] * size
-    star[0] = one
-    star[one] = 0
-    for x in range(1, b):
-        star[x] = e ^ x
-    return FiniteAlgebra(size, meet, join, star, 0, one)
+    bottom = 1 << n
+    fan = [(1 << i) | bottom for i in range(n)] + [bottom]
+    return upset_algebra(list(range(bottom)) + [(bottom << 1) - 1], fan)
 
 
 def product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
@@ -346,21 +413,15 @@ def product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
         size *= f.size
     if size > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(f"product size {size} exceeds table budget {MAX_ALGEBRA_SIZE}")
-    k = len(factors)
-    sizes = [f.size for f in factors]
-    tuples = list(itertools.product(*[range(s) for s in sizes]))
-    index = {t: i for i, t in enumerate(tuples)}  # row-major == mixed radix
-    meet = [[0] * size for _ in range(size)]
-    join = [[0] * size for _ in range(size)]
-    star = [0] * size
-    for i, ti in enumerate(tuples):
-        star[i] = index[tuple(factors[c].star[ti[c]] for c in range(k))]
-        for jx, tj in enumerate(tuples):
-            meet[i][jx] = index[tuple(factors[c].meet[ti[c]][tj[c]] for c in range(k))]
-            join[i][jx] = index[tuple(factors[c].join[ti[c]][tj[c]] for c in range(k))]
-    zero = index[tuple(f.zero for f in factors)]
-    one = index[tuple(f.one for f in factors)]
-    return FiniteAlgebra(size, meet, join, star, zero, one)
+
+    def pointwise(tables):
+        return lambda x: lambda y: tuple(t[a][b] for t, a, b in zip(tables, x, y))
+
+    return from_elements(
+        list(itertools.product(*(range(f.size) for f in factors))),  # row-major == mixed radix
+        pointwise([f.meet for f in factors]), pointwise([f.join for f in factors]),
+        lambda x: tuple(f.star[a] for f, a in zip(factors, x)),
+        tuple(f.zero for f in factors), tuple(f.one for f in factors))
 
 
 def generated_subalgebra(parent: FiniteAlgebra,
@@ -373,29 +434,10 @@ def generated_subalgebra(parent: FiniteAlgebra,
     gens = set(int(g) for g in generators)
     if any(g < 0 or g >= parent.size for g in gens):
         raise ValueError("generator index out of range")
-    closed = gens | {parent.zero, parent.one}
-    frontier = list(closed)
-    while frontier:
-        new = set()
-        current = list(closed)
-        for x in frontier:
-            sx = parent.star[x]
-            if sx not in closed:
-                new.add(sx)
-            for y in current:
-                for v in (parent.meet[x][y], parent.join[x][y]):
-                    if v not in closed:
-                        new.add(v)
-        new -= closed
-        closed |= new
-        frontier = list(new)
-    elements = sorted(closed)
-    pos = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    meet = [[pos[parent.meet[a][b]] for b in elements] for a in elements]
-    join = [[pos[parent.join[a][b]] for b in elements] for a in elements]
-    star = [pos[parent.star[a]] for a in elements]
-    sub = FiniteAlgebra(n, meet, join, star, pos[parent.zero], pos[parent.one])
+    meet, join = (lambda x: parent.meet[x].__getitem__), (lambda x: parent.join[x].__getitem__)
+    star = parent.star.__getitem__
+    elements = sorted(close(gens | {parent.zero, parent.one}, (star,), (meet, join)))
+    sub = from_elements(elements, meet, join, star, parent.zero, parent.one)
     return sub, AlgebraMap(sub, parent, tuple(elements))
 
 

@@ -9,6 +9,7 @@ pp-morphisms: order-preserving maps with ``f(max up(x)) = max up(f(x))``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -21,6 +22,8 @@ from .core import (
     StructureError,
     ValidationReport,
     Violation,
+    transpose,
+    upset_algebra,
 )
 from .search import Backtrack
 
@@ -34,7 +37,7 @@ class FinitePoset:
     up: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "up", tuple(int(m) for m in self.up))
+        object.__setattr__(self, "up", tuple(map(operator.index, self.up)))
         if len(self.up) != self.size:
             raise StructureError("up-mask count does not match size")
         full = (1 << self.size) - 1
@@ -60,26 +63,29 @@ class FinitePoset:
     @classmethod
     def from_covers(cls, size: int, covers) -> "FinitePoset":
         """Reflexive-transitive closure of a cover list; rejects cycles."""
-        up = [1 << x for x in range(size)]
-        adj: list[list[int]] = [[] for _ in range(size)]
+        above: list[list[int]] = [[] for _ in range(size)]
+        below: list[list[int]] = [[] for _ in range(size)]
         for lo, hi in covers:
             if not (0 <= lo < size and 0 <= hi < size):
                 raise StructureError("cover index out of range")
-            adj[lo].append(hi)
-        changed = True
-        while changed:
-            changed = False
-            for x in range(size):
-                m = up[x]
-                for y in adj[x]:
-                    m |= up[y]
-                if m != up[x]:
-                    up[x] = m
-                    changed = True
-        for x in range(size):
-            for y in _bits(up[x] & ~(1 << x)):
-                if (up[y] >> x) & 1:
-                    raise StructureError(f"cover list is cyclic through ({x}, {y})")
+            if lo != hi:
+                above[lo].append(hi)
+                below[hi].append(lo)
+        # one pass in reverse topological order (Kahn): a point is closed
+        # as soon as every point it is covered by is
+        up = [1 << x for x in range(size)]
+        waiting = [len(hs) for hs in above]
+        done = [x for x in range(size) if not waiting[x]]
+        for x in done:  # grows while it is walked
+            for y in above[x]:
+                up[x] |= up[y]
+            for lo in below[x]:
+                waiting[lo] -= 1
+                if not waiting[lo]:
+                    done.append(lo)
+        if len(done) < size:
+            x = next(x for x in range(size) if waiting[x])
+            raise StructureError(f"cover list is cyclic on or above point {x}")
         return cls(size, tuple(up))
 
     def leq(self, x: int, y: int) -> bool:
@@ -90,12 +96,7 @@ class FinitePoset:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        masks = [0] * self.size
-        for x in range(self.size):
-            for y in range(self.size):
-                if (self.up[y] >> x) & 1:
-                    masks[x] |= 1 << y
-        return tuple(masks)
+        return transpose(self.up)
 
     @cached_property
     def maximal_mask(self) -> int:
@@ -208,22 +209,7 @@ def epsilon(x: FinitePoset, max_size: int = MAX_ALGEBRA_SIZE) -> FiniteAlgebra:
     Elements are the upsets encoded as point bitsets, sorted ascending, so
     zero is index 0 and one is the last index.
     """
-    ups = upsets_of(x, max_size)
-    n = len(ups)
-    index = {u: i for i, u in enumerate(ups)}
-    full = (1 << x.size) - 1
-    down = x.down
-
-    def star_mask(u: int) -> int:
-        d = 0
-        for b in _bits(u):
-            d |= down[b]
-        return full & ~d
-
-    meet = [tuple([index[ui & u] for u in ups]) for ui in ups]
-    join = [tuple([index[ui | u] for u in ups]) for ui in ups]
-    star = [index[star_mask(u)] for u in ups]
-    return FiniteAlgebra(n, meet, join, star, 0, n - 1)
+    return upset_algebra(upsets_of(x, max_size), x.down)
 
 
 def disjoint_union(parts: list[FinitePoset]) -> FinitePoset:
@@ -253,7 +239,7 @@ class PPMap:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
+        object.__setattr__(self, "table", tuple(map(operator.index, self.table)))
         if len(self.table) != self.source.size:
             raise StructureError("map table length does not match source size")
         if any(not (0 <= v < self.target.size) for v in self.table):

@@ -20,13 +20,17 @@ import random
 from dataclasses import dataclass
 
 from .core import (
+    BITWISE_ROWS,
     DEFAULT_SEARCH_BUDGET,
     FiniteAlgebra,
     InconsistentMethodsError,
     MAX_ALGEBRA_SIZE,
     ResourceLimitError,
+    close,
     is_isomorphic,
     enumerate_embeddings,
+    upset_algebra,
+    upset_star,
 )
 from .duality import FinitePoset, delta, find_surjective_ppmorphism, epsilon
 from .logic import (
@@ -80,34 +84,16 @@ def build_free(m: int, k: int, max_size: int = MAX_ALGEBRA_SIZE) -> FreeAlgebraR
     """
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
-    js = list(range(min(m, 1 << k) + 1))
     factors: list[tuple[int, tuple[int, ...], int]] = []  # (atoms, tuple, offset)
-    offset = 0
-    for j in js:
-        npts = j + 1 if j >= 1 else 1
+    downmask: list[int] = []  # the factors' dual fans side by side
+    for j in range(min(m, 1 << k) + 1):
         for t in itertools.product(range((1 << j) + 1), repeat=k):
-            factors.append((j, t, offset))
-            offset += npts
-    total_bits = offset
+            off = len(downmask)
+            bot = 1 << (off + j)
+            factors.append((j, t, off))
+            downmask += [(1 << (off + i)) | bot for i in range(j)] + [bot]
+    total_bits = len(downmask)
     full = (1 << total_bits) - 1
-    downmask = [0] * total_bits
-    for j, _t, off in factors:
-        if j == 0:
-            downmask[off] = 1 << off
-        else:
-            bot = off + j
-            for i in range(j):
-                downmask[off + i] = (1 << (off + i)) | (1 << bot)
-            downmask[bot] = 1 << bot
-
-    def star_mask(u: int) -> int:
-        d = 0
-        x = u
-        while x:
-            b = x & (-x)
-            d |= downmask[b.bit_length() - 1]
-            x ^= b
-        return full & ~d
 
     gens = []
     for i in range(k):
@@ -116,59 +102,21 @@ def build_free(m: int, k: int, max_size: int = MAX_ALGEBRA_SIZE) -> FreeAlgebraR
             g |= _local_mask(j, t[i]) << off
         gens.append(g)
 
-    elements = {0, full} | set(gens)
-    frontier = list(elements)
-    while frontier:
-        fresh = set()
-        current = list(elements)
-        for x in frontier:
-            sx = star_mask(x)
-            if sx not in elements:
-                fresh.add(sx)
-            for y in current:
-                lo = x & y
-                if lo not in elements:
-                    fresh.add(lo)
-                hi = x | y
-                if hi not in elements:
-                    fresh.add(hi)
-        fresh -= elements
-        elements |= fresh
-        if len(elements) > max_size:
-            raise ResourceLimitError(
-                f"free algebra closure passed {len(elements)} elements "
-                f"(cap {max_size}, {total_bits} product coordinates)")
-        frontier = list(fresh)
+    elements = close({0, full, *gens}, (upset_star(downmask),), BITWISE_ROWS, max_size)
+    if len(elements) > max_size:
+        raise ResourceLimitError(
+            f"free algebra closure passed {len(elements)} elements "
+            f"(cap {max_size}, {total_bits} product coordinates)")
 
     def components(u: int) -> tuple[int, ...]:
-        # per-factor element index; valid local masks are either a subset
-        # of the maximals (the Boolean part, index = mask) or the full
-        # block mask (the top, index = 2^j)
-        out = []
-        for j, _t, off in factors:
-            npts = j + 1 if j >= 1 else 1
-            local = (u >> off) & ((1 << npts) - 1)
-            if j == 0:
-                out.append(local)
-            else:
-                out.append(local if local < (1 << j) else (1 << j))
-        return tuple(out)
+        # per-factor element index: a local mask inside the j maximals is
+        # its own index (the Boolean part), the full block mask is 2^j (the top)
+        return tuple(min((u >> off) & ((2 << j) - 1), 1 << j) for j, _t, off in factors)
 
     masks = sorted(elements, key=lambda u: (bin(u).count("1"), components(u)))
-    index = {u: i for i, u in enumerate(masks)}
-    n = len(masks)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ui = masks[i]
-        mrow, jrow = meet[i], join[i]
-        for jx in range(n):
-            mrow[jx] = index[ui & masks[jx]]
-            jrow[jx] = index[ui | masks[jx]]
-    star = [index[star_mask(u)] for u in masks]
-    algebra = FiniteAlgebra(n, meet, join, star, index[0], index[full])
+    algebra = upset_algebra(masks, downmask)
     ambient = tuple(AmbientFactor(j, t) for j, t, _ in factors)
-    return FreeAlgebraResult(algebra, tuple(index[g] for g in gens), ambient)
+    return FreeAlgebraResult(algebra, tuple(map(masks.index, gens)), ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ validates, so a file that deserializes is a genuine p-algebra / poset.
 from __future__ import annotations
 
 import json
+import operator
+from contextlib import contextmanager
 from pathlib import Path
 
 from .core import (
@@ -15,6 +17,7 @@ from .core import (
     FiniteAlgebra,
     ResourceLimitError,
     StructureError,
+    ValidationReport,
     validate_palgebra,
 )
 from .duality import FinitePoset, validate_poset
@@ -34,22 +37,36 @@ def algebra_to_dict(a: FiniteAlgebra) -> dict:
 def declared_size(data: dict) -> int:
     """The file's ``size``, refused before anything is built for it when it
     exceeds the table budget."""
-    size = int(data["size"])
+    size = operator.index(data["size"])
     if size > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(f"size {size} exceeds the table budget {MAX_ALGEBRA_SIZE}")
     return size
 
 
-def algebra_from_dict(data: dict) -> FiniteAlgebra:
+@contextmanager
+def _malformed(kind: str):
     try:
-        a = FiniteAlgebra(declared_size(data), data["meet"], data["join"],
-                          data["star"], int(data["zero"]), int(data["one"]))
+        yield
     except (KeyError, TypeError) as exc:
-        raise StructureError(f"malformed algebra file: {exc}") from exc
-    report = validate_palgebra(a)
+        raise StructureError(f"malformed {kind} file: {exc}") from exc
+
+
+def _require_valid(kind: str, report: ValidationReport) -> None:
     if not report:
         laws = ", ".join(v.law for v in report.violations)
-        raise StructureError(f"algebra file violates: {laws}")
+        raise StructureError(f"{kind} file violates: {laws}")
+
+
+def parse_algebra(data: dict) -> FiniteAlgebra:
+    """The file's tables as a :class:`FiniteAlgebra`, shape-checked only."""
+    with _malformed("algebra"):
+        return FiniteAlgebra(declared_size(data), data["meet"], data["join"], data["star"],
+                             operator.index(data["zero"]), operator.index(data["one"]))
+
+
+def algebra_from_dict(data: dict) -> FiniteAlgebra:
+    a = parse_algebra(data)
+    _require_valid("algebra", validate_palgebra(a))
     return a
 
 
@@ -57,16 +74,16 @@ def poset_to_dict(p: FinitePoset) -> dict:
     return {"size": p.size, "covers": [list(c) for c in p.covers()]}
 
 
+def parse_poset(data: dict) -> FinitePoset:
+    """The file's cover list, closed, with the laws not yet checked."""
+    with _malformed("poset"):
+        return FinitePoset.from_covers(declared_size(data),
+                                       [tuple(map(operator.index, c)) for c in data["covers"]])
+
+
 def poset_from_dict(data: dict) -> FinitePoset:
-    try:
-        p = FinitePoset.from_covers(declared_size(data),
-                                    [tuple(c) for c in data["covers"]])
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"malformed poset file: {exc}") from exc
-    report = validate_poset(p)
-    if not report:
-        laws = ", ".join(v.law for v in report.violations)
-        raise StructureError(f"poset file violates: {laws}")
+    p = parse_poset(data)
+    _require_valid("poset", validate_poset(p))
     return p
 
 
@@ -75,10 +92,8 @@ def map_to_dict(table) -> dict:
 
 
 def map_from_dict(data: dict) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in data["table"])
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"malformed map file: {exc}") from exc
+    with _malformed("map"):
+        return tuple(map(operator.index, data["table"]))
 
 
 def save_json(path: str | Path, data: dict) -> None:

@@ -18,6 +18,7 @@ from .core import (
     StructureError,
     ValidationReport,
     Violation,
+    close,
 )
 from .duality import FinitePoset
 from .search import table_homs
@@ -180,32 +181,17 @@ def from_quasigroup(q: SteinerQuasigroup) -> SteinerSystem:
     return SteinerSystem(q.order, tuple(blocks))
 
 
-def _closure(mult, points) -> set[int]:
-    out = set(points)
-    frontier = list(out)
-    while frontier:
-        new = set()
-        current = list(out)
-        for x in frontier:
-            for y in current:
-                z = mult[x][y]
-                if z not in out:
-                    new.add(z)
-        out |= new
-        frontier = list(new)
-    return out
-
-
 def is_planar(q: SteinerQuasigroup) -> bool:
     """Order at least 4 and every non-block triple generates everything."""
     if q.order < 4:
         return False
     blocks = {frozenset((x, y, q.mult[x][y]))
               for x in range(q.order) for y in range(q.order) if x != y}
+    rows = (lambda x: q.mult[x].__getitem__,)
     for triple in itertools.combinations(range(q.order), 3):
         if frozenset(triple) in blocks:
             continue
-        if len(_closure(q.mult, triple)) != q.order:
+        if len(close(triple, (), rows)) != q.order:
             return False
     return True
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -65,6 +66,38 @@ class TestPosetBasics:
     def test_matrix_round_trip(self):
         p = make_p1(3)
         assert FinitePoset.from_matrix(p.matrix()) == p
+
+    def test_from_covers_matches_a_fixpoint_closure(self):
+        # the closure, down masks and cycle rejection against a naive
+        # closure that repeats whole passes until nothing changes
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randrange(1, 9)
+            covers = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+            up = [1 << x for x in range(n)]
+            for _ in range(n):
+                for lo, hi in covers:
+                    up[lo] |= up[hi]
+            cyclic = any(x != y and (up[x] >> y) & 1 and (up[y] >> x) & 1
+                         for x in range(n) for y in range(n))
+            if cyclic:
+                with pytest.raises(StructureError, match="cyclic"):
+                    FinitePoset.from_covers(n, covers)
+                continue
+            p = FinitePoset.from_covers(n, covers)
+            assert p.up == tuple(up)
+            assert p.down == tuple(sum(1 << y for y in range(n) if (up[y] >> x) & 1)
+                                   for x in range(n))
+
+    def test_long_chain_closes_and_wide_antichain_transposes_fast(self):
+        # a 3000-point chain took about 6 s to close by repeated passes, and
+        # the down masks of a 3000-point antichain about 1.5 s by a double loop
+        start = time.perf_counter()
+        chain = FinitePoset.from_covers(3000, [(x, x + 1) for x in range(2999)])
+        antichain = FinitePoset.from_covers(3000, [])
+        assert chain.up[0] == (1 << 3000) - 1 and chain.up[2999] == 1 << 2999
+        assert antichain.down == antichain.up
+        assert time.perf_counter() - start < 2
 
 
 class TestMaxUp:

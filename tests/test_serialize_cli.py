@@ -9,11 +9,13 @@ import pytest
 import palg
 
 from palg import ResourceLimitError, StructureError, make_bn, make_p1, posets_up_to
+from palg import cli, serialize
 from palg.cli import main
 from palg.serialize import (
     algebra_from_dict,
     algebra_to_dict,
     algebra_to_dot,
+    load_json,
     poset_from_dict,
     poset_to_dict,
     poset_to_dot,
@@ -206,6 +208,42 @@ class TestCli:
     def test_input_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["check", "palgebra", "--file", str(missing)]) == 2
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("palgebra", "one", [1]),            # a list where an index belongs
+        ("palgebra", "meet", [[0.9, 0, 0], [0, 1, 1], [0, 1, 2]]),  # B_1's, not truncated
+        ("poset", "size", [3]),
+        ("poset", "covers", [[0.5, 1]]),
+        ("ppmap", "table", [0.7, 1]),
+    ])
+    def test_malformed_entries_are_input_errors(self, tmp_path, bn, capsys, command, key, value):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(poset_to_dict(make_p1(1))))
+        if command == "palgebra":
+            data = algebra_to_dict(bn[1])
+        elif command == "poset":
+            data = {"size": 3, "covers": [[0, 1]]}
+        else:
+            data = {"table": [0, 1]}
+        data[key] = value
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(data))
+        args = ["--src", str(p), "--dst", str(p), "--map", str(f)] if command == "ppmap" else ["--file", str(f)]
+        assert main(["check", command] + args) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        if command == "palgebra":
+            assert main(["dual", "delta", str(f)]) == 2
+
+    def test_check_palgebra_keeps_the_size_cap(self, files, monkeypatch):
+        monkeypatch.setattr(serialize, "MAX_ALGEBRA_SIZE", 3)
+        assert main(["dual", "delta", files["bn3"]]) == 3
+        assert main(["check", "palgebra", "--file", files["bn3"]]) == 3
+
+    def test_check_palgebra_reads_its_file_once(self, files, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "load_json", lambda path: reads.append(path) or load_json(path))
+        assert main(["check", "palgebra", "--file", files["bn3"]]) == 0
+        assert reads == [files["bn3"]]
 
     def test_report_covers(self, capsys):
         assert main(["report", "covers", "--json"]) == 0
