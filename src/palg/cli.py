@@ -33,7 +33,16 @@ from .duality import (
     validate_ppmap,
 )
 from .free import build_free
-from .logic import ONE, Quasiequation, format_quasiequation, make_ib, make_qb, parse, satisfies
+from .logic import (
+    DEFAULT_SWEEP_BUDGET,
+    ONE,
+    Quasiequation,
+    format_quasiequation,
+    make_ib,
+    make_qb,
+    parse,
+    satisfies,
+)
 from .serialize import (
     algebra_to_dict,
     algebra_to_dot,
@@ -259,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--algebra", help="algebra file (quasieq)")
     ck.add_argument("--q", help="quasiequation text (a bare term t is read as t = 1)")
     ck.add_argument("--q-file", help="file holding the quasiequation text")
-    ck.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    ck.add_argument("--budget", type=int, default=DEFAULT_SWEEP_BUDGET)
     ck.add_argument("--json", action="store_true")
     ck.set_defaults(fn=_cmd_check)
 

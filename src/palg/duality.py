@@ -8,7 +8,6 @@ pp-morphisms: order-preserving maps with ``f(max up(x)) = max up(f(x))``.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -326,7 +325,7 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
     max_lists = [(x, list(_bits(m))) for x, m in enumerate(mu_s) if m & (m - 1)]
     required_pts = set(_bits(required))
 
-    def candidates(i, f, state):
+    def expand(i, f, state):
         dom, covered = state
         # a required target still uncoverable by any remaining point is fatal
         if required:
@@ -334,23 +333,23 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
             for m in dom[i:]:
                 reach |= m
             if (reach & required) != required:
-                return ()
-        return _bits(dom[i])
+                return
+        maximal = (max_s >> i) & 1
+        for t in _bits(dom[i]):
+            f[i] = t
+            if maximal and not (max_d >> t) & 1:
+                yield None
+                continue
+            ndom = dom.copy()
+            for y, masks in forward[i]:
+                m = ndom[y] & masks[t]
+                if not m:
+                    ndom = None
+                    break
+                ndom[y] = m
+            yield None if ndom is None else (ndom, covered | (1 << t))
 
-    def accept(i, f, state):
-        dom, covered = state
-        t = f[i]
-        if (max_s >> i) & 1 and not (max_d >> t) & 1:
-            return None
-        ndom = dom.copy()
-        for y, masks in forward[i]:
-            m = ndom[y] & masks[t]
-            if not m:
-                return None
-            ndom[y] = m
-        return ndom, covered | (1 << t)
-
-    search = Backtrack(ns, candidates, accept, budget)
+    search = Backtrack(ns, expand, budget)
 
     def tables():
         for f in search.solutions((dom0, 0)):
@@ -441,62 +440,35 @@ def delta_map(h: AlgebraMap) -> PPMap:
 # poset isomorphism and enumeration
 
 
+def _profile(p: FinitePoset) -> list[tuple[int, int, int]]:
+    """Per point: how many points lie above, below, and maximal above it;
+    an isomorphism maps each point to one of the same profile."""
+    return [(p.up[x].bit_count(), p.down[x].bit_count(), p.max_up_masks[x].bit_count())
+            for x in range(p.size)]
+
+
 def posets_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
     """Backtracking order-isomorphism test with degree-profile pruning."""
     if p.size != q.size:
         return False
     n = p.size
-
-    def profile(r: FinitePoset):
-        return [(bin(r.up[x]).count("1"), bin(r.down[x]).count("1"),
-                 bin(r.max_up_masks[x]).count("1")) for x in range(n)]
-
-    pp, qp = profile(p), profile(q)
+    pp, qp = _profile(p), _profile(q)
     if sorted(pp) != sorted(qp):
         return False
     cands = [[t for t in range(n) if qp[t] == pp[x]] for x in range(n)]
 
-    def candidates(i, f, used):
-        return [t for t in cands[i] if not (used >> t) & 1]
+    def expand(i, f, used):
+        pu, pd = p.up[i], p.down[i]
+        for t in cands[i]:
+            if (used >> t) & 1:
+                continue
+            f[i] = t
+            qu, qd = q.up[t], q.down[t]
+            ok = all((pu >> y) & 1 == (qu >> f[y]) & 1 and (pd >> y) & 1 == (qd >> f[y]) & 1
+                     for y in range(i))
+            yield used | (1 << t) if ok else None
 
-    def accept(i, f, used):
-        t = f[i]
-        pu, pd, qu, qd = p.up[i], p.down[i], q.up[t], q.down[t]
-        for y in range(i):
-            if (pu >> y) & 1 != (qu >> f[y]) & 1 or (pd >> y) & 1 != (qd >> f[y]) & 1:
-                return None
-        return used | (1 << t)
-
-    return next(Backtrack(n, candidates, accept).solutions(0), None) is not None
-
-
-def _canonical_key(p: FinitePoset) -> tuple:
-    # minimum relation matrix over profile-respecting relabelings; meant
-    # for the small posets produced by all_posets
-    n = p.size
-    if n == 0:
-        return ()
-    prof = [(bin(p.up[x]).count("1"), bin(p.down[x]).count("1")) for x in range(n)]
-    classes: dict[tuple, list[int]] = {}
-    for x in range(n):
-        classes.setdefault(prof[x], []).append(x)
-    groups = [classes[k] for k in sorted(classes)]
-    best = None
-    for parts in itertools.product(*[itertools.permutations(g) for g in groups]):
-        newidx = {}
-        i = 0
-        for part in parts:
-            for x in part:
-                newidx[x] = i
-                i += 1
-        rows = [0] * n
-        for x in range(n):
-            for y in _bits(p.up[x]):
-                rows[newidx[x]] |= 1 << newidx[y]
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    return best
+    return next(Backtrack(n, expand).solutions(0), None) is not None
 
 
 @lru_cache(maxsize=None)
@@ -506,15 +478,15 @@ def all_posets(size: int) -> tuple[FinitePoset, ...]:
     if size == 0:
         return (EMPTY_POSET,)
     reps = []
-    seen = set()
+    groups: dict[tuple, list[FinitePoset]] = {}  # by sorted profile
     for smaller in all_posets(size - 1):
         for u in upsets_of(smaller):
             # append a new minimal point lying below exactly the upset u
             up = list(smaller.up) + [u | (1 << smaller.size)]
             cand = FinitePoset(size, tuple(up))
-            key = _canonical_key(cand)
-            if key not in seen:
-                seen.add(key)
+            group = groups.setdefault(tuple(sorted(_profile(cand))), [])
+            if not any(posets_isomorphic(cand, rep) for rep in group):
+                group.append(cand)
                 reps.append(cand)
     return tuple(reps)
 

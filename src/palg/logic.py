@@ -417,6 +417,36 @@ def _run_grid(steps: list, r: list, mask: np.ndarray, a: FiniteAlgebra) -> bool:
     return True
 
 
+def _level_search(prog: _Program, r: list, a: FiniteAlgebra, depth: int,
+                  budget: int | None) -> Backtrack:
+    """The search over the first ``depth`` variables in order, each bound in
+    its register as it is set: a pinned variable tries only the values its
+    pin solves for, ascending, and each level's premises are checked as soon
+    as its variable is bound."""
+    meet, join, star = a.meet, a.join, a.star
+    pins, levels = prog.pins, prog.levels
+    every = range(a.size)
+    starinv: dict[int, list[int]] = {}
+    if any(pin and pin[0] for pin in pins[:depth]):
+        for x in every:
+            starinv.setdefault(star[x], []).append(x)
+
+    def expand(i, f, state):
+        pin = pins[i]
+        if pin is None:
+            values = every
+        else:
+            is_star, steps, reg = pin
+            _run(steps, r, meet, join, star)
+            values = starinv.get(r[reg], ()) if is_star else (r[reg],)
+        steps = levels[i]
+        for u in values:
+            f[i] = r[i] = u
+            yield state if not steps or _run(steps, r, meet, join, star) else None
+
+    return Backtrack(depth, expand, budget)
+
+
 def _sweep_backtrack(a: FiniteAlgebra, q: Quasiequation, names: list[str],
                      budget: int) -> SatisfactionResult:
     prog = _compile(q, names)
@@ -424,25 +454,7 @@ def _sweep_backtrack(a: FiniteAlgebra, q: Quasiequation, names: list[str],
     r = prog.registers(a)
     if not _run(prog.ground, r, meet, join, star):
         return SatisfactionResult("satisfied", None, 0)
-    starinv: dict[int, list[int]] = {}
-    for x in range(a.size):
-        starinv.setdefault(star[x], []).append(x)
-    every = range(a.size)
-
-    def candidates(i, f, state):
-        pin = prog.pins[i]
-        if pin is None:
-            return every
-        is_star, steps, reg = pin
-        _run(steps, r, meet, join, star)
-        return starinv.get(r[reg], ()) if is_star else (r[reg],)
-
-    def accept(i, f, state):
-        r[i] = f[i]
-        steps = prog.levels[i]
-        return state if not steps or _run(steps, r, meet, join, star) else None
-
-    search = Backtrack(len(names), candidates, accept, budget)
+    search = _level_search(prog, r, a, len(names), budget)
     for f in search.solutions(True):
         if not _run(prog.conclusion, r, meet, join, star):
             return SatisfactionResult("falsified", dict(zip(names, f)), search.nodes)
@@ -465,14 +477,8 @@ def _sweep_grid(a: FiniteAlgebra, q: Quasiequation, names: list[str],
     r[lead:k] = np.indices((n,) * g).reshape(g, cells)
     *concl, (_, _, lhs, rhs) = prog.conclusion
     leaf = [step for level in prog.levels[lead:] for step in level] + concl
-    every = range(n)
-
-    def accept(i, f, state):
-        r[i] = f[i]
-        return state if _run(prog.levels[i], r, *tables) else None
-
     checked = 0
-    for f in Backtrack(lead, lambda i, f, state: every, accept).solutions(True):
+    for f in _level_search(prog, r, a, lead, None).solutions(True):
         checked += cells
         mask = np.ones(cells, dtype=bool)
         if not _run_grid(leaf, r, mask, a):
@@ -492,12 +498,14 @@ def satisfies(a: FiniteAlgebra, q: Quasiequation,
     element index); reports the least falsifier.
 
     The quasiequation is compiled once into a straight-line program over
-    registers (:class:`_Program`), which both engines run.  Small valuation
-    spaces are swept on vectorized grids; larger ones fall back to a
-    backtracking sweep that checks each premise as soon as its variables
-    are bound and solves, per variable, the first premise of the shape
-    ``x = t`` / ``x* = t`` over earlier variables.  If neither finishes
-    within budget the result is inconclusive.
+    registers (:class:`_Program`), which both engines run.  Both bind
+    variables through one backtracking level search that checks each
+    premise as soon as its variables are bound and solves, per variable,
+    the first premise of the shape ``x = t`` / ``x* = t`` over earlier
+    variables.  Small valuation spaces sweep the last variables on
+    vectorized grids under each lead assignment; larger ones search every
+    variable.  If neither finishes within budget the result is
+    inconclusive.
     """
     names = variables_of(q)
     if not names:

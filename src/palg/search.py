@@ -2,19 +2,21 @@
 
 :class:`Backtrack` assigns positions ``0..n-1`` in index order with an
 explicit stack, so the depth of a search is not bounded by Python's
-recursion limit.  An engine supplies two callbacks:
+recursion limit.  An engine supplies one callback per level:
 
-``candidates(i, f, state)``
-    the values to try at position ``i``, ascending; ``f[:i]`` holds the
-    assignment so far and ``state`` is what accepting ``f[i-1]`` returned.
-    Every value returned counts as one node against the budget.
-``accept(i, f, state)``
-    called with ``f[i]`` set; returns the state for position ``i + 1``,
-    or ``None`` to reject the value.
+``expand(i, f, state)``
+    a generator over the values tried at position ``i``, ascending;
+    ``f[:i]`` holds the assignment so far and ``state`` is what the
+    parent node yielded.  For each value it sets ``f[i]`` and yields one
+    item: the state for position ``i + 1``, or ``None`` to reject the
+    value.  Every item yielded is one node and counts against the
+    budget; a value skipped without a yield is not a node.
 
-Complete assignments come out in lexicographic order when the candidates
-are ascending.  :func:`table_homs` is the table-homomorphism engine built
-on the kernel, shared by algebra and quasigroup homomorphism searches.
+Complete assignments come out in lexicographic order when the values are
+ascending.  :func:`table_homs` is the table-homomorphism engine built on
+the kernel, shared by algebra and quasigroup homomorphism searches; the
+pp-morphism search, poset isomorphism and both quasiequation sweeps
+(through ``logic._level_search``) run on it too.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import itertools
 
 
 class Backtrack:
-    """Depth-first search over assignments; ``nodes`` counts candidates
-    tried and ``exhausted`` is set when more than ``budget`` were needed."""
+    """Depth-first search over assignments; ``nodes`` counts the items
+    ``expand`` yielded and ``exhausted`` is set when more than ``budget``
+    were needed."""
 
-    def __init__(self, n: int, candidates, accept, budget: int | None = None):
+    def __init__(self, n: int, expand, budget: int | None = None):
         self.n = n
-        self.candidates = candidates
-        self.accept = accept
+        self.expand = expand
         self.budget = float("inf") if budget is None else budget
         self.nodes = 0
         self.exhausted = False
@@ -37,37 +39,33 @@ class Backtrack:
     def solutions(self, state):
         """Yield each complete assignment as one shared list; copy it to
         keep it.  Stops early when the budget runs out."""
-        n, candidates, accept, budget = self.n, self.candidates, self.accept, self.budget
+        n, expand, budget = self.n, self.expand, self.budget
         f = [-1] * n
         if n == 0:
             yield f
             return
         nodes = self.nodes
-        states = [state] * n
         pending = [iter(())] * n
-        pending[0] = iter(candidates(0, f, state))
+        pending[0] = expand(0, f, state)
         i = 0
         while i >= 0:
-            child = None
-            for u in pending[i]:
+            for child in pending[i]:
                 nodes += 1
                 if nodes > budget:
                     self.nodes = nodes
                     self.exhausted = True
                     return
-                f[i] = u
-                child = accept(i, f, states[i])
                 if child is not None:
                     break
-            if child is None:
+            else:
                 i -= 1
-            elif i + 1 == n:
+                continue
+            if i + 1 == n:
                 self.nodes = nodes
                 yield f
             else:
                 i += 1
-                states[i] = child
-                pending[i] = iter(candidates(i, f, child))
+                pending[i] = expand(i, f, child)
         self.nodes = nodes
 
     def take(self, solutions, limit: int | None):
@@ -133,39 +131,40 @@ def table_homs(n: int, unary, binary, consts, cands, *, injective: bool = False,
         for z, d in defined.items():
             forced[z] = d
 
-    def candidates(i, f, used):
-        d = forced[i]
-        if d is None:
-            c = cands[i]
-        elif len(d) == 3:
-            c = (d[0][f[d[1]]][f[d[2]]],)
-        elif len(d) == 2:
-            c = (d[0][f[d[1]]],)
-        else:
-            c = d
-        if injective:
-            return [u for u in c if not (used >> u) & 1]
-        return c
-
-    def accept(i, f, used):
-        fi = f[i]
+    def consistent(i, f, fi):
         for t, x, y, more in defs[i]:
             row = t[f[x]]
             if row[f[y]] != fi:
-                return None
+                return False
             for y in more:
                 if row[f[y]] != fi:
-                    return None
+                    return False
         for t, srow, ys in own[i]:
             row = t[fi]
             for y in ys:
                 if row[f[y]] != f[srow[y]]:
-                    return None
+                    return False
         for t, x, z in unary_facts[i]:
             if t[f[x]] != f[z]:
-                return None
-        return used | (1 << fi)
+                return False
+        return True
 
-    search = Backtrack(n, candidates, accept, budget)
+    def expand(i, f, used):
+        d = forced[i]
+        if d is None:
+            values = cands[i]
+        elif len(d) == 3:
+            values = (d[0][f[d[1]]][f[d[2]]],)
+        elif len(d) == 2:
+            values = (d[0][f[d[1]]],)
+        else:
+            values = d
+        for fi in values:
+            if injective and (used >> fi) & 1:
+                continue
+            f[i] = fi
+            yield used | (1 << fi) if consistent(i, f, fi) else None
+
+    search = Backtrack(n, expand, budget)
     found, complete = search.take((tuple(f) for f in search.solutions(0)), limit)
     return found, complete, search.nodes

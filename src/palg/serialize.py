@@ -107,6 +107,8 @@ def load_json(path: str | Path) -> dict:
 def load_object(path: str | Path) -> FiniteAlgebra | FinitePoset:
     """Dispatch on the file's keys: tables give an algebra, covers a poset."""
     data = load_json(path)
+    if not isinstance(data, dict):
+        raise StructureError(f"{path} does not hold a JSON object")
     if "covers" in data:
         return poset_from_dict(data)
     return algebra_from_dict(data)

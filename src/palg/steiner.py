@@ -41,9 +41,6 @@ class SteinerSystem:
             if any(p < 0 or p >= self.order for p in b):
                 raise StructureError(f"block {b} has a point out of range")
 
-    def block_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(b) for b in self.blocks)
-
 
 @dataclass(frozen=True)
 class SteinerQuasigroup:

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 import time
 
@@ -31,7 +34,7 @@ from palg import (
     validate_poset,
     validate_ppmap,
 )
-from palg.duality import enumerate_ppmorphisms
+from palg.duality import _profile, enumerate_ppmorphisms
 from palg.steiner import collapse_pasting, construct_sts, fano_system, paste_w, poset_of
 
 CHAIN2 = FinitePoset.from_covers(2, [(0, 1)])
@@ -349,6 +352,71 @@ class TestPosetEnumeration:
         for i, p in enumerate(reps):
             for q in reps[i + 1:]:
                 assert not posets_isomorphic(p, q)
+
+    # sha256 of the representatives' up-masks, in order, as recorded before
+    # all_posets deduplicated through posets_isomorphic; the order feeds
+    # seeded choices in the tests and the eps(poset#i) labels of lemma7
+    CLASS_DIGESTS = {
+        0: "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+        1: "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
+        2: "031c632f29195050fe2f9980e9e07d575e81888ed23fd70b2e352d76e9b60959",
+        3: "37c144539de17165e194056b402fa79f93aaab543a928801736946fc5c758f65",
+        4: "b73614c03a7a02d35263578fb2e4d585737f14d42333bc99ef96fd48327dd745",
+        5: "0d186c1d3d1e9345cce0bce70032124a7dbcb4fafc1adc37ff384a379dc4e822",
+        6: "e47a0c6c276feeed75e68ecb468bcd20718a56d7e1135fad6199012e31565d81",
+    }
+
+    @pytest.mark.parametrize("n", sorted(CLASS_DIGESTS))
+    def test_representatives_are_pinned(self, n):
+        ups = json.dumps([p.up for p in all_posets(n)]).encode()
+        assert hashlib.sha256(ups).hexdigest() == self.CLASS_DIGESTS[n]
+
+    def test_isomorphism_matches_brute_force(self):
+        pairs = list(itertools.product(posets_up_to(4), repeat=2))
+        rng = random.Random(5)
+        for p in rng.sample(all_posets(5), 20):
+            q = _relabel(p, rng)
+            pairs.append((p, q))
+            covers = q.covers()
+            if covers:
+                covers.pop(rng.randrange(len(covers)))
+            pairs.append((p, FinitePoset.from_covers(q.size, covers)))
+        # six points is the least size with distinct classes of one profile
+        groups: dict[tuple, list] = {}
+        for p in all_posets(6):
+            groups.setdefault(tuple(sorted(_profile(p))), []).append(p)
+        twins = [g for g in groups.values() if len(g) > 1]
+        assert twins
+        for p, q in twins:
+            pairs += [(p, _relabel(q, rng)), (q, _relabel(q, rng))]
+        answers = set()
+        for p, q in pairs:
+            expected = _isomorphic_by_permutations(p, q)
+            assert posets_isomorphic(p, q) == expected, (p, q)
+            answers.add(expected)
+        assert answers == {True, False}
+
+
+def _relabel(p, rng):
+    """p with its points renamed by a random permutation."""
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    up = [0] * p.size
+    for x in range(p.size):
+        for y in range(p.size):
+            if (p.up[x] >> y) & 1:
+                up[perm[x]] |= 1 << perm[y]
+    return FinitePoset(p.size, tuple(up))
+
+
+def _isomorphic_by_permutations(p, q):
+    if p.size != q.size:
+        return False
+    n = p.size
+    rel_p = [(x, y) for x in range(n) for y in range(n) if (p.up[x] >> y) & 1]
+    rel_q = {(x, y) for x in range(n) for y in range(n) if (q.up[x] >> y) & 1}
+    return any({(s[x], s[y]) for x, y in rel_p} == rel_q
+               for s in itertools.permutations(range(n)))
 
 
 def test_surjection_iff_embedding_oracle():

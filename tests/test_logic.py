@@ -126,6 +126,13 @@ PINNED_SWEEPS = [
     # y has two pins; the first one, y* = x ^ x*, sets the count
     ("b4-first-pin", lambda: make_bn(4), parse("x ^ y = 0 & y* = x ^ x* & y = x* => y = x*"),
      17 ** 2 - 1, "_sweep_backtrack", "satisfied", None, 51),
+    # B_6 has 65 elements, so the grid spans 2 variables and 2 lead
+    # variables are searched; y* = x pins the lead variable x
+    ("b6-grid-lead-pin", lambda: make_bn(6), parse("y* = x & w v z = y => x ^ z = x ^ w"),
+     50_000_000, "_sweep_grid", "satisfied", None, 274_625),
+    ("b6-grid-lead-pin-falsified", lambda: make_bn(6),
+     parse("y* = x & z ^ w = y => z v w = z"), 50_000_000, "_sweep_grid",
+     "falsified", {"y": 0, "x": 64, "z": 0, "w": 1}, 4_225),
 ]
 
 

@@ -29,20 +29,31 @@ from palg.duality import _pp_search, enumerate_ppmorphisms
 from palg.search import Backtrack, table_homs
 
 
+def _expand_over(values, child):
+    """An ``expand`` that tries ``values(i)`` at level ``i`` and yields
+    ``child(state)`` for each."""
+    def expand(i, f, state):
+        for u in values(i):
+            f[i] = u
+            yield child(state)
+    return expand
+
+
 class TestKernel:
     def test_lexicographic_order_and_node_count(self):
-        search = Backtrack(3, lambda i, f, s: range(2), lambda i, f, s: s)
+        search = Backtrack(3, _expand_over(lambda i: range(2), lambda s: s))
         tables = [tuple(f) for f in search.solutions(0)]
         assert tables == list(itertools.product(range(2), repeat=3))
         assert search.nodes == 2 + 4 + 8 and not search.exhausted
 
     def test_budget_counts_every_candidate(self):
-        search = Backtrack(3, lambda i, f, s: range(2), lambda i, f, s: None, budget=1)
+        # a rejected value is a node too
+        search = Backtrack(3, _expand_over(lambda i: range(2), lambda s: None), budget=1)
         assert list(search.solutions(0)) == []
         assert search.nodes == 2 and search.exhausted
 
     def test_depth_is_not_bounded_by_recursion(self):
-        search = Backtrack(5000, lambda i, f, s: (i,), lambda i, f, s: s)
+        search = Backtrack(5000, _expand_over(lambda i: (i,), lambda s: s))
         assert [list(f) for f in search.solutions(0)] == [list(range(5000))]
 
 

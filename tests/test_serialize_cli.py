@@ -234,6 +234,25 @@ class TestCli:
         if command == "palgebra":
             assert main(["dual", "delta", str(f)]) == 2
 
+    @pytest.mark.parametrize("text", ["5", "null", "true"])
+    def test_a_file_that_is_not_an_object_is_an_input_error(self, tmp_path, files, capsys, text):
+        f = tmp_path / "f.json"
+        f.write_text(text)
+        for args in (["dual", "epsilon", str(f)],
+                     ["search", "ppmorph", "--src", str(f), "--dst", files["p13"]]):
+            assert main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("input error:"), err
+
+    def test_check_quasieq_sweeps_with_the_sweep_budget(self, tmp_path, capsys):
+        # 257^3 valuations: within the sweep budget (the grid, as satisfies()
+        # picks), past the search budget (the backtracking sweep, which ran out)
+        b8 = tmp_path / "b8.json"
+        assert main(["make", "bn", "8", "--out", str(b8)]) == 0
+        assert main(["check", "quasieq", "--algebra", str(b8),
+                     "--q", "x ^ (y ^ z) = (x ^ y) ^ z"]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+
     def test_check_palgebra_keeps_the_size_cap(self, files, monkeypatch):
         monkeypatch.setattr(serialize, "MAX_ALGEBRA_SIZE", 3)
         assert main(["dual", "delta", files["bn3"]]) == 3
