@@ -244,6 +244,17 @@ def _cmd_report(args) -> int:
     return EXIT_OK if data["passed"] else EXIT_FAIL
 
 
+def _int_at_least(low: int):
+    """An argparse type for an integer no smaller than ``low``, so that a
+    bad value exits 2 with a usage line instead of reaching a search."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {int(text)}")
+        return int(text)
+    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="palg",
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--algebra", help="algebra file (quasieq)")
     ck.add_argument("--q", help="quasiequation text (a bare term t is read as t = 1)")
     ck.add_argument("--q-file", help="file holding the quasiequation text")
-    ck.add_argument("--budget", type=int, default=DEFAULT_SWEEP_BUDGET)
+    ck.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SWEEP_BUDGET)
     ck.add_argument("--json", action="store_true")
     ck.set_defaults(fn=_cmd_check)
 
@@ -288,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--big")
     se.add_argument("--algebra")
     se.add_argument("--gens", nargs="+", default=[])
-    se.add_argument("--limit", type=int, default=None)
-    se.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    se.add_argument("--limit", type=_int_at_least(1), default=None)
+    se.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SEARCH_BUDGET)
     se.add_argument("--out")
     se.set_defaults(fn=_cmd_search)
 

@@ -14,8 +14,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-import numpy as np
-
 from .search import table_homs
 
 MAX_ALGEBRA_SIZE = 5000     # cap on materialized operation tables
@@ -65,6 +63,13 @@ def transpose(masks) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _frozen_array(table) -> np.ndarray:
+    import numpy as np
+    a = np.asarray(table, dtype=np.int32)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """Operation-table representation of a bounded-lattice-with-star candidate.
@@ -96,23 +101,10 @@ class FiniteAlgebra:
         """Lattice order: ``x <= y`` iff ``x ^ y = x``."""
         return self.meet[x][y] == x
 
-    @cached_property
-    def np_meet(self) -> np.ndarray:
-        a = np.asarray(self.meet, dtype=np.int32)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def np_join(self) -> np.ndarray:
-        a = np.asarray(self.join, dtype=np.int32)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def np_star(self) -> np.ndarray:
-        a = np.asarray(self.star, dtype=np.int32)
-        a.flags.writeable = False
-        return a
+    # read-only numpy copies of the tables, for the grid sweep and the scan
+    np_meet = cached_property(lambda self: _frozen_array(self.meet))
+    np_join = cached_property(lambda self: _frozen_array(self.join))
+    np_star = cached_property(lambda self: _frozen_array(self.star))
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
@@ -211,6 +203,7 @@ class EnumerationResult:
 
 
 def _first_mismatch2(lhs: np.ndarray, rhs: np.ndarray) -> tuple | None:
+    import numpy as np
     bad = np.argwhere(lhs != rhs)
     if len(bad) == 0:
         return None
@@ -218,6 +211,7 @@ def _first_mismatch2(lhs: np.ndarray, rhs: np.ndarray) -> tuple | None:
 
 
 def _first_assoc_violation(t: np.ndarray) -> tuple | None:
+    import numpy as np
     # t[t[x,y],z] == t[x,t[y,z]], chunked over x to bound memory
     n = len(t)
     chunk = max(1, 20_000_000 // max(1, n * n))
@@ -234,6 +228,7 @@ def _first_assoc_violation(t: np.ndarray) -> tuple | None:
 
 
 def _first_distrib_violation(m: np.ndarray, j: np.ndarray) -> tuple | None:
+    import numpy as np
     # m[x, j[y,z]] == j[m[x,y], m[x,z]]
     n = len(m)
     chunk = max(1, 20_000_000 // max(1, n * n))
@@ -249,22 +244,71 @@ def _first_distrib_violation(m: np.ndarray, j: np.ndarray) -> tuple | None:
     return None
 
 
-def validate_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
-    """Decide all p-algebra laws by exhaustive table scan.
+def _sends(table, image, op) -> bool:
+    """Whether ``image[table[x][y]] == op(image[x], image[y])`` for all
+    ``x <= y``, which covers all pairs when ``table`` and ``op`` commute."""
+    get = image.__getitem__
+    return all(list(map(get, row[x:])) == list(map(partial(op, image[x]), image[x:]))
+               for x, row in enumerate(table))
 
-    Raises :class:`StructureError` for out-of-range entries; law failures
-    are reported, each with the first witness tuple in row-major order.
+
+def _certified(a: FiniteAlgebra) -> bool:
+    """True iff ``a``, its entries in range, satisfies every p-algebra law,
+    decided on the bitmask up- and down-sets in O(n^2) mask operations.
+
+    With meet commutative and idempotent, ``x <= y`` iff ``x ^ y = x`` is
+    reflexive and antisymmetric.  ``down[x ^ y] = down[x] & down[y]`` makes
+    ``x ^ y`` the greatest lower bound (and gives ``down[x] <= down[y]``
+    for ``x <= y``, so the order is transitive), and a top makes the order
+    a lattice.  In a finite lattice ``x`` is the join of ``J(x)``, the
+    join-irreducibles below it, so ``J(x v y) = J(x) | J(y)`` makes
+    ``x v y`` the least upper bound and, by Birkhoff's theorem, the lattice
+    distributive.  The star law is checked directly.
+    """
+    n, meet, join, star = a.size, a.meet, a.join, a.star
+    if list(zip(*meet)) != list(meet) or list(zip(*join)) != list(join):
+        return False
+    if any(row[x] != x for x, row in enumerate(meet)):
+        return False
+    up, down, full = a.up_masks, a.down_masks, (1 << n) - 1
+    if not _sends(meet, down, operator.and_):
+        return False
+    if up[a.zero] != full or down[a.one] != full or star[a.one] != a.zero or star[a.zero] != a.one:
+        return False
+    ji = sum(1 << x for x in a.join_irreducibles)
+    if not _sends(join, [d & ji for d in down], operator.or_):
+        return False
+    return all(list(map(row.__getitem__, map(star.__getitem__, row))) == list(map(row.__getitem__, star))
+               for row in meet)
+
+
+def validate_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
+    """Decide all p-algebra laws.
+
+    Raises :class:`StructureError` for out-of-range entries.  A valid
+    algebra is recognised by :func:`_certified`; otherwise the exhaustive
+    table scan reports each law failure with its first witness tuple in
+    row-major order.
     """
     n = candidate.size
     if n <= 0:
         raise StructureError("size must be positive")
-    m, j, s = candidate.np_meet, candidate.np_join, candidate.np_star
-    for name, tab in (("meet", m), ("join", j), ("star", s)):
-        if tab.size and (tab.min() < 0 or tab.max() >= n):
+    for name, rows in (("meet", candidate.meet), ("join", candidate.join), ("star", [candidate.star])):
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
             raise StructureError(f"{name} table entry out of range")
     if not (0 <= candidate.zero < n and 0 <= candidate.one < n):
         raise StructureError("zero/one out of range")
+    if _certified(candidate):
+        return ValidationReport(ok=True)
+    return _scan_palgebra(candidate)
 
+
+def _scan_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
+    """Every p-algebra law by exhaustive numpy scan over in-range tables,
+    each failure with its first witness tuple in row-major order."""
+    import numpy as np
+    n = candidate.size
+    m, j, s = candidate.np_meet, candidate.np_join, candidate.np_star
     xs = np.arange(n)
     viol: list[Violation] = []
 

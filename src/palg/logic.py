@@ -21,8 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import FiniteAlgebra, make_bn
 from .search import Backtrack
 
@@ -464,6 +462,7 @@ def _sweep_backtrack(a: FiniteAlgebra, q: Quasiequation, names: list[str],
 
 def _sweep_grid(a: FiniteAlgebra, q: Quasiequation, names: list[str],
                 budget: int) -> SatisfactionResult:
+    import numpy as np
     prog = _compile(q, names)
     n, k = a.size, len(names)
     g = min(k, 1)

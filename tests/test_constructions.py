@@ -1,4 +1,5 @@
-"""Every construction's tables, zero/one and generator indices, pinned.
+"""Every construction's tables, zero/one and generator indices, pinned,
+and every construction accepted by the validation certificate.
 
 The digests were recorded before the constructions were rebuilt on one
 closure and one table builder; a witness is the lexicographically least
@@ -21,6 +22,7 @@ from palg import (
     product,
     reports,
     trivial_algebra,
+    validate_palgebra,
 )
 from palg.steiner import fano_system
 
@@ -34,18 +36,18 @@ def _digest(a, extra=()) -> str:
 
 
 def _epsilon(p):
-    return lambda: _digest(epsilon(p))
+    return lambda: (epsilon(p), ())
 
 
 def _free(m, k):
     def build():
         f = build_free(m, k)
-        return _digest(f.algebra, f.generators)
+        return f.algebra, f.generators
     return build
 
 
 def _product(ns):
-    return lambda: _digest(product([make_bn(n) for n in ns]))
+    return lambda: (product([make_bn(n) for n in ns]), ())
 
 
 def _nested(outer, inner_first):
@@ -53,26 +55,27 @@ def _nested(outer, inner_first):
     def build():
         a, b, c = (make_bn(n) for n in outer)
         parts = [product([a, b]), c] if inner_first else [a, product([b, c])]
-        return _digest(product(parts))
+        return product(parts), ()
     return build
 
 
 def _sub(parent, gens):
     def build():
         sub, inc = generated_subalgebra(parent(), gens)
-        return _digest(sub, inc.table)
+        return sub, inc.table
     return build
 
 
 def _cases():
+    """Each case's name and a function returning its algebra and extra indices."""
     cases = {}
     for i, p in enumerate(posets_up_to(5)):
         cases[f"eps-poset{i}-n{p.size}"] = _epsilon(p)
-    cases["eps-W3"] = lambda: _digest(epsilon(paste_w(3)))
-    cases["eps-W4"] = lambda: _digest(reports.eps_w4())  # shared with other tests
-    cases["eps-P(Fano)"] = lambda: _digest(epsilon(poset_of(fano_system())))
+    cases["eps-W3"] = _epsilon(paste_w(3))
+    cases["eps-W4"] = lambda: (reports.eps_w4(), ())  # shared with other tests
+    cases["eps-P(Fano)"] = _epsilon(poset_of(fano_system()))
     for n in range(9):
-        cases[f"B{n}"] = (lambda n=n: _digest(make_bn(n)))
+        cases[f"B{n}"] = (lambda n=n: (make_bn(n), ()))
     for m, k in ((0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)):
         cases[f"free-{m}-{k}"] = _free(m, k)
     for ns in ((0, 0), (1,), (1, 2), (0, 1, 1), (0, 0, 2), (0, 1, 2)):
@@ -228,4 +231,13 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_construction_tables_are_pinned(name):
-    assert CASES[name]() == PINNED[name]
+    assert _digest(*CASES[name]()) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_certificate_accepts_every_construction(name, scan_agrees):
+    a, _ = CASES[name]()
+    if a.size <= 300:
+        assert scan_agrees(a).ok
+    else:  # the cubic scan would take minutes
+        assert validate_palgebra(a).ok

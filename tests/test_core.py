@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from palg import (
     FiniteAlgebra,
+    FinitePoset,
     StructureError,
     enumerate_embeddings,
     enumerate_homomorphisms,
+    epsilon,
     generated_subalgebra,
     is_isomorphic,
     is_subdirectly_irreducible,
@@ -53,6 +56,98 @@ class TestValidate:
         rep = validate_palgebra(a)
         assert not rep.ok
         assert any(v.law == "meet commutative" for v in rep.violations)
+
+
+def lattice(n, less, star, zero=0, one=None):
+    """The algebra on ``0..n-1`` whose order is generated by the pairs
+    ``less``, with meet and join read off the order by brute force."""
+    le = [[x == y for y in range(n)] for x in range(n)]
+    for x, y in less:
+        le[x][y] = True
+    for k, i, j in itertools.product(range(n), repeat=3):
+        le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+
+    def bound(x, y, below):
+        common = [z for z in range(n) if (le[z][x] and le[z][y] if below else le[x][z] and le[y][z])]
+        return next(z for z in common if all(le[w][z] if below else le[z][w] for w in common))
+    return FiniteAlgebra(n, [[bound(x, y, True) for y in range(n)] for x in range(n)],
+                         [[bound(x, y, False) for y in range(n)] for x in range(n)],
+                         star, zero, n - 1 if one is None else one)
+
+
+def random_poset(rng, n):
+    return FinitePoset.from_covers(n, [(x, y) for x in range(n) for y in range(x + 1, n)
+                                       if rng.random() < 0.3])
+
+
+def mutants(seed, count):
+    """Seeded one-entry changes of valid algebras: a star value, or a meet or
+    join entry, half of them mirrored so that the table stays commutative."""
+    rng = random.Random(seed)
+    bases = [make_bn(2), make_bn(3), three_chain_stone(), product([make_bn(0), make_bn(1)])]
+    bases += [epsilon(random_poset(rng, rng.randrange(2, 6))) for _ in range(6)]
+    for _ in range(count):
+        a = rng.choice(bases)
+        n = a.size
+        meet, join, star = [list(r) for r in a.meet], [list(r) for r in a.join], list(a.star)
+        which = rng.randrange(3)
+        x, y = rng.randrange(n), rng.randrange(n)
+        if which == 2:
+            star[x] = rng.choice([v for v in range(n) if v != star[x]])
+        else:
+            t = (meet, join)[which]
+            t[x][y] = rng.choice([v for v in range(n) if v != t[x][y]])
+            if rng.random() < 0.5:
+                t[y][x] = t[x][y]
+        yield FiniteAlgebra(n, meet, join, star, a.zero, a.one)
+
+
+class TestCertificate:
+    """validate_palgebra accepts by a bitmask certificate and falls back to
+    the exhaustive scan; the scan is the oracle."""
+
+    def test_upset_algebras_of_random_posets(self, scan_agrees):
+        rng = random.Random(7)
+        for _ in range(40):
+            assert scan_agrees(epsilon(random_poset(rng, rng.randrange(1, 8)))).ok
+
+    def test_non_distributive_lattices(self, scan_agrees):
+        m3 = lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], [4, 0, 0, 0, 0])
+        # N5 with its pseudocomplement: distributivity is the only law broken
+        n5 = lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], [4, 3, 3, 2, 0])
+        assert "distributive" in [v.law for v in scan_agrees(m3).violations]
+        assert [v.law for v in scan_agrees(n5).violations] == ["distributive"]
+
+    def test_wrong_star_and_swapped_bounds(self, bn, scan_agrees):
+        a = bn[2]
+        star = list(a.star)
+        star[1] = 1
+        wrong = scan_agrees(FiniteAlgebra(a.size, a.meet, a.join, star, a.zero, a.one))
+        assert [v.law for v in wrong.violations] == ["x ^ (x ^ y)* = x ^ y*"]
+        swapped = scan_agrees(FiniteAlgebra(a.size, a.meet, a.join, a.star, a.one, a.zero))
+        assert [v.law for v in swapped.violations] == ["0 is bottom", "1 is top"]
+
+    CHAIN = [[0, 0, 0], [0, 1, 1], [0, 1, 2]], [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
+
+    # each breaks one check of the certificate and passes all the others
+    @pytest.mark.parametrize("args,laws", [
+        ((4, [[0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 2], [0, 1, 2, 3]],
+          [[0, 1, 1, 3], [1, 1, 1, 3], [1, 1, 1, 3], [3, 3, 3, 3]], [3, 0, 0, 0], 0, 3),
+         ["meet idempotent", "join idempotent", "absorption x ^ (x v y) = x",
+          "absorption x v (x ^ y) = x", "distributive"]),
+        ((4, [[0, 0, 0, 0], [0, 1, 3, 1], [0, 3, 2, 2], [0, 1, 2, 3]],
+          [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]], [3, 0, 0, 0], 0, 3),
+         ["absorption x v (x ^ y) = x", "meet associative", "distributive"]),
+        ((3, *CHAIN, [0, 2, 1], 1, 2), ["0 is bottom"]),
+        ((3, *CHAIN, [0, 0, 0], 0, 0), ["1 is top"]),
+        ((2, [[0, 0], [0, 1]], [[0, 1], [1, 1]], [1, 1], 0, 1), ["1* = 0"]),
+    ], ids=["idempotent", "meet-glb", "bottom", "top", "one-star"])
+    def test_each_check_is_needed(self, scan_agrees, args, laws):
+        assert [v.law for v in scan_agrees(FiniteAlgebra(*args)).violations] == laws
+
+    def test_seeded_mutations(self, scan_agrees):
+        reports = [scan_agrees(a) for a in mutants(2024, 300)]
+        assert sum(not r.ok for r in reports) > 250
 
 
 class TestMakeBn:

@@ -8,7 +8,15 @@ import pytest
 
 import palg
 
-from palg import ResourceLimitError, StructureError, make_bn, make_p1, posets_up_to
+from palg import (
+    ResourceLimitError,
+    StructureError,
+    format_quasiequation,
+    make_bn,
+    make_p1,
+    make_qb,
+    posets_up_to,
+)
 from palg import cli, serialize
 from palg.cli import main
 from palg.serialize import (
@@ -215,6 +223,7 @@ class TestCli:
         ("poset", "size", [3]),
         ("poset", "covers", [[0.5, 1]]),
         ("ppmap", "table", [0.7, 1]),
+        ("palgebra", "meet", [[0, 0, 0], [0, 1, 2 ** 40], [0, 1, 2]]),  # past int32
     ])
     def test_malformed_entries_are_input_errors(self, tmp_path, bn, capsys, command, key, value):
         p = tmp_path / "p.json"
@@ -252,6 +261,51 @@ class TestCli:
         assert main(["check", "quasieq", "--algebra", str(b8),
                      "--q", "x ^ (y ^ z) = (x ^ y) ^ z"]) == 0
         assert capsys.readouterr().out.strip() == "true"
+
+    @pytest.mark.parametrize("kind,args,message", [
+        ("search", ["embed", "--small", "bn3", "--big", "bn4", "--limit", "-1"],
+         "argument --limit: must be at least 1, got -1"),
+        ("search", ["embed", "--small", "bn3", "--big", "bn4", "--limit", "0"],
+         "argument --limit: must be at least 1, got 0"),
+        ("search", ["ppmorph", "--src", "w4", "--dst", "p13", "--budget", "-1"],
+         "argument --budget: must be at least 0, got -1"),
+        ("check", ["quasieq", "--algebra", "bn3", "--q", "x = x", "--budget", "-1"],
+         "argument --budget: must be at least 0, got -1"),
+    ], ids=["negative-limit", "zero-limit", "search-budget", "sweep-budget"])
+    def test_limits_and_budgets_out_of_range_are_usage_errors(self, files, kind, args, message):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
+        argv = [files.get(a, a) for a in args]
+        run = subprocess.run([sys.executable, "-m", "palg.cli", kind, *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        assert run.stderr.splitlines()[-1] == f"palg {kind}: error: {message}"
+
+    def test_numpy_is_loaded_only_by_a_grid_sweep(self, files, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
+        b3, p13, e13 = files["bn3"], files["p13"], str(tmp_path / "e13.json")
+        commands = [["make", "p1", "3", "--out", str(tmp_path / "p.json")],
+                    ["check", "palgebra", "--file", b3],
+                    ["dual", "delta", b3, "--out", str(tmp_path / "d.json")],
+                    ["dual", "epsilon", p13, "--out", e13],
+                    ["search", "ppmorph", "--src", files["w4"], "--dst", p13],
+                    ["search", "embed", "--small", b3, "--big", e13],
+                    ["search", "member", "--algebra", b3, "--gens", e13],
+                    ["qb", "3"],
+                    ["check", "quasieq", "--algebra", b3, "--q", format_quasiequation(make_qb(3))]]
+        # one cold process runs every command, reporting after each whether
+        # numpy has been imported yet
+        script = ("import contextlib, io, json, sys\n"
+                  "from palg.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                  "        code = main(argv)\n"
+                  "    print(json.dumps([code, 'numpy' in sys.modules, out.getvalue()]))\n")
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        rows = [json.loads(line) for line in run.stdout.splitlines()]
+        assert [code for code, _, _ in rows] == [0, 0, 0, 0, 0, 0, 0, 0, 1], run.stderr
+        assert [loaded for _, loaded, _ in rows] == [False] * 8 + [True]
+        assert rows[-1][2] == 'false\nfalsifier: {"x1": 1, "x2": 2, "x3": 4}\n'
 
     def test_check_palgebra_keeps_the_size_cap(self, files, monkeypatch):
         monkeypatch.setattr(serialize, "MAX_ALGEBRA_SIZE", 3)
