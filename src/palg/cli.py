@@ -10,9 +10,10 @@ import argparse
 import json
 import sys
 
-from . import reports, serialize
+from . import _lazy, serialize
 from .core import (
     DEFAULT_SEARCH_BUDGET,
+    DEFAULT_SWEEP_BUDGET,
     FiniteAlgebra,
     ResourceLimitError,
     StructureError,
@@ -20,28 +21,6 @@ from .core import (
     enumerate_homomorphisms,
     is_isomorphic,
     make_bn,
-)
-from .duality import (
-    FinitePoset,
-    PPMap,
-    delta,
-    epsilon,
-    find_surjective_ppmorphism,
-    finite_membership,
-    posets_isomorphic,
-    validate_poset,
-    validate_ppmap,
-)
-from .free import build_free
-from .logic import (
-    DEFAULT_SWEEP_BUDGET,
-    ONE,
-    Quasiequation,
-    format_quasiequation,
-    make_ib,
-    make_qb,
-    parse,
-    satisfies,
 )
 from .serialize import (
     algebra_to_dict,
@@ -52,7 +31,19 @@ from .serialize import (
     poset_to_dot,
     save_json,
 )
-from .steiner import construct_sts, fano_system, make_p1, paste_w, poset_of
+
+# the palg names of the other modules, imported by the commands that run
+# them, so that a cold process compiles no module its command does not use
+_use, __getattr__ = _lazy(globals(), {
+    "duality": """FinitePoset PPMap delta epsilon find_surjective_ppmorphism finite_membership
+        posets_isomorphic validate_poset validate_ppmap""",
+    "free": "build_free",
+    "logic": "ONE Quasiequation format_quasiequation make_ib make_qb parse satisfies",
+    "reports": "run_suite",
+    "steiner": "construct_sts fano_system make_p1 paste_w poset_of",
+})
+# the keys of ``reports.SUITES``, so that the parser need not import reports
+REPORT_SUITES = ("covers", "lemma10", "lemma11", "lemma7", "lemma8", "thm13", "thm16")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -76,6 +67,7 @@ def _load_algebra(path: str) -> FiniteAlgebra:
 
 
 def _load_poset(path: str) -> FinitePoset:
+    _use("duality")
     obj = load_object(path)
     if not isinstance(obj, FinitePoset):
         raise StructureError(f"{path} does not hold a poset")
@@ -90,27 +82,25 @@ def _cmd_make(args) -> int:
     if kind == "bn":
         data = algebra_to_dict(make_bn(args.n))
         dot = algebra_to_dot(make_bn(args.n)) if args.dot else None
-    elif kind == "p1":
-        p = make_p1(args.n)
-        data, dot = poset_to_dict(p), poset_to_dot(p) if args.dot else None
-    elif kind == "fano":
-        p = poset_of(fano_system())
-        data, dot = poset_to_dict(p), poset_to_dot(p) if args.dot else None
-    elif kind == "sts":
-        p = poset_of(construct_sts(args.n))
-        data, dot = poset_to_dict(p), poset_to_dot(p) if args.dot else None
-    elif kind == "w":
-        p = paste_w(args.n)
-        data, dot = poset_to_dict(p), poset_to_dot(p) if args.dot else None
     elif kind == "free":
         if args.m is None or args.k is None:
             print("make free needs --m and --k", file=sys.stderr)
             return EXIT_INPUT
+        _use("free")
         a = build_free(args.m, args.k).algebra
         data = algebra_to_dict(a)
         dot = algebra_to_dot(a) if args.dot else None
     else:
-        return EXIT_INPUT
+        _use("steiner")
+        if kind == "p1":
+            p = make_p1(args.n)
+        elif kind == "fano":
+            p = poset_of(fano_system())
+        elif kind == "sts":
+            p = poset_of(construct_sts(args.n))
+        else:
+            p = paste_w(args.n)
+        data, dot = poset_to_dict(p), poset_to_dot(p) if args.dot else None
     _emit(data, args.out)
     if dot is not None:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -124,9 +114,11 @@ def _cmd_check(args) -> int:
         a = serialize.parse_algebra(load_json(args.file))
         rep = validate_palgebra(a)
     elif args.what == "poset":
+        _use("duality")
         p = serialize.parse_poset(load_json(args.file))
         rep = validate_poset(p)
     elif args.what == "ppmap":
+        _use("duality")
         src = _load_poset(args.src)
         dst = _load_poset(args.dst)
         table = serialize.map_from_dict(load_json(args.map))
@@ -135,6 +127,7 @@ def _cmd_check(args) -> int:
         if rep.ok and not f.is_surjective():
             print("valid pp-morphism (not surjective)")
     elif args.what == "quasieq":
+        _use("logic")
         a = _load_algebra(args.algebra)
         q = _parse_quasieq(args)
         res = satisfies(a, q, budget=args.budget)
@@ -172,6 +165,7 @@ def _parse_quasieq(args) -> Quasiequation:
 
 
 def _cmd_dual(args) -> int:
+    _use("duality")
     obj = load_object(args.file)
     if args.direction == "delta":
         if not isinstance(obj, FiniteAlgebra):
@@ -198,6 +192,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.kind == "ppmorph":
+        _use("duality")
         src = _load_poset(args.src)
         dst = _load_poset(args.dst)
         res = find_surjective_ppmorphism(src, dst, budget=args.budget)
@@ -221,6 +216,7 @@ def _cmd_search(args) -> int:
         print("inconclusive")
         return EXIT_INCONCLUSIVE
     if args.kind == "member":
+        _use("duality")
         a = _load_algebra(args.algebra)
         gens = [_load_algebra(g) for g in args.gens]
         res = finite_membership(a, gens, budget=args.budget)
@@ -233,7 +229,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = reports.run_suite(args.suite, expensive=args.expensive)
+    _use("reports")
+    data = run_suite(args.suite, expensive=args.expensive)
     if args.json:
         print(json.dumps(data, indent=1))
     else:
@@ -242,6 +239,12 @@ def _cmd_report(args) -> int:
             mark = "pass" if c["passed"] else "FAIL"
             print(f"  [{mark}] {c['id']}" + (f" -- {c['detail']}" if c["detail"] else ""))
     return EXIT_OK if data["passed"] else EXIT_FAIL
+
+
+def _cmd_print(args) -> int:
+    _use("logic")
+    print(format_quasiequation(make_qb(args.n) if args.command == "qb" else make_ib(args.m)))
+    return EXIT_OK
 
 
 def _int_at_least(low: int):
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.set_defaults(fn=_cmd_search)
 
     rp = sub.add_parser("report", help="run a named verification suite")
-    rp.add_argument("suite", choices=sorted(reports.SUITES))
+    rp.add_argument("suite", choices=REPORT_SUITES)
     rp.add_argument("--json", action="store_true")
     rp.add_argument("--expensive", action="store_true",
                     help="include the 2-generator free-p-algebra tier")
@@ -313,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     qb = sub.add_parser("qb", help="print the qb_n quasiequation")
     qb.add_argument("n", type=int)
-    qb.set_defaults(fn=lambda a: (print(format_quasiequation(make_qb(a.n))), EXIT_OK)[1])
+    qb.set_defaults(fn=_cmd_print)
 
     ib = sub.add_parser("ib", help="print the ib_m identity")
     ib.add_argument("m", type=int)
-    ib.set_defaults(fn=lambda a: (print(format_quasiequation(make_ib(a.m))), EXIT_OK)[1])
+    ib.set_defaults(fn=_cmd_print)
 
     return ap
 

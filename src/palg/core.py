@@ -19,6 +19,7 @@ from .search import table_homs
 MAX_ALGEBRA_SIZE = 5000     # cap on materialized operation tables
 MAX_BN_ATOMS = 12           # make_bn bound: 2**12 + 1 = 4097 elements
 DEFAULT_SEARCH_BUDGET = 10_000_000
+DEFAULT_SWEEP_BUDGET = 50_000_000
 
 
 class StructureError(ValueError):
@@ -126,25 +127,12 @@ class FiniteAlgebra:
 
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
-        """Elements ``x != 0`` with a unique lower cover, ascending."""
-        ups = self.up_masks
-        downs = self.down_masks
-        out = []
-        for x in range(self.size):
-            if x == self.zero:
-                continue
-            strictly_below = downs[x] & ~(1 << x)
-            covers = 0
-            m = strictly_below
-            while m and covers < 2:
-                b = m & (-m)
-                y = b.bit_length() - 1
-                m ^= b
-                if ups[y] & strictly_below & ~b == 0:  # y maximal below x
-                    covers += 1
-            if covers == 1:
-                out.append(x)
-        return tuple(out)
+        """Elements ``x != 0`` with a unique lower cover, ascending: in a
+        lattice, those whose strict down-set is itself a down-set ``down[y]``
+        (``y`` is then the cover)."""
+        principal = set(self.down_masks)
+        return tuple(x for x, d in enumerate(self.down_masks)
+                     if x != self.zero and d ^ (1 << x) in principal)
 
     def __repr__(self) -> str:
         return f"FiniteAlgebra(size={self.size}, zero={self.zero}, one={self.one})"
@@ -372,8 +360,8 @@ def close(seeds, unary, rows, cap: int | None = None) -> set:
     operations given as row lookups (``row(x)`` maps ``y`` to ``x op y``).
 
     Semi-naive: each round combines only the elements new in the last
-    round with all elements.  With a ``cap``, stops after the round in
-    which the closure passes it, so the caller can tell by its size.
+    round with all elements.  With a ``cap``, stops as soon as the closure
+    is known to pass it, so the caller can tell by its size.
     """
     closed = set(seeds)
     frontier = list(closed)
@@ -383,7 +371,10 @@ def close(seeds, unary, rows, cap: int | None = None) -> set:
         for f in unary:
             fresh.update(map(f, frontier))
         for row in rows:
-            fresh.update(*[map(row(x), current) for x in frontier])
+            for x in frontier:
+                fresh.update(map(row(x), current))
+                if cap is not None and len(fresh) > cap:
+                    return closed | fresh
         fresh -= closed
         closed |= fresh
         if cap is not None and len(closed) > cap:

@@ -80,10 +80,17 @@ def build_free(m: int, k: int, max_size: int = MAX_ALGEBRA_SIZE) -> FreeAlgebraR
 
     The result is canonically reindexed by (lattice height, lexicographic
     component vector); raises :class:`ResourceLimitError` with partial
-    stats when the closure exceeds ``max_size`` elements.
+    stats when the closure exceeds ``max_size`` elements, or before any
+    work when the product has more than ``max_size`` coordinates.
     """
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
+    coordinates = 0
+    for j in range(min(m, 1 << k) + 1):
+        # (2^j + 1)^k factors with j atoms; for a long k, 2^k alone passes the cap
+        coordinates += ((1 << j) + 1) ** k if k < max_size.bit_length() else max_size + 1
+        if coordinates > max_size:
+            raise ResourceLimitError(f"free algebra product passes the cap of {max_size} coordinates")
     factors: list[tuple[int, tuple[int, ...], int]] = []  # (atoms, tuple, offset)
     downmask: list[int] = []  # the factors' dual fans side by side
     for j in range(min(m, 1 << k) + 1):
@@ -106,7 +113,7 @@ def build_free(m: int, k: int, max_size: int = MAX_ALGEBRA_SIZE) -> FreeAlgebraR
     if len(elements) > max_size:
         raise ResourceLimitError(
             f"free algebra closure passed {len(elements)} elements "
-            f"(cap {max_size}, {total_bits} product coordinates)")
+            f"(cap {max_size}, {len(factors)} product coordinates)")
 
     def components(u: int) -> tuple[int, ...]:
         # per-factor element index: a local mask inside the j maximals is

@@ -21,10 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import FiniteAlgebra, make_bn
+from .core import DEFAULT_SWEEP_BUDGET, FiniteAlgebra, make_bn
 from .search import Backtrack
 
-DEFAULT_SWEEP_BUDGET = 50_000_000
 _GRID_CELLS = 1 << 18
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import _lazy
 from .core import FiniteAlgebra, enumerate_embeddings, make_bn
 from .duality import (
     delta,
@@ -18,8 +19,6 @@ from .duality import (
     posets_up_to,
     validate_ppmap,
 )
-from .free import build_free, check_free_qb3, check_special_structural, check_under_each, cover_fixture_checks
-from .logic import make_qb, satisfies
 from .steiner import (
     collapse_pasting,
     construct_sts,
@@ -32,6 +31,12 @@ from .steiner import (
     to_quasigroup,
 )
 
+# imported by the suites that use them, so that lemma10 and lemma11 skip both
+_use, __getattr__ = _lazy(globals(), {
+    "free": "build_free check_free_qb3 check_special_structural check_under_each cover_fixture_checks",
+    "logic": "make_qb satisfies",
+})
+
 
 @lru_cache(maxsize=None)
 def eps_w4() -> FiniteAlgebra:
@@ -40,6 +45,7 @@ def eps_w4() -> FiniteAlgebra:
 
 @lru_cache(maxsize=None)
 def free_algebra(m: int, k: int):
+    _use("free")
     return build_free(m, k)
 
 
@@ -69,6 +75,7 @@ def _suite(name: str, clauses: list[dict]) -> dict:
 def run_lemma7() -> dict:
     """qb_n holds exactly when the n-atom subdirectly irreducible does not
     embed, over the whole corpus, for n = 1, 2, 3."""
+    _use("logic")
     clauses = []
     for n in (1, 2, 3):
         qb = make_qb(n)
@@ -93,6 +100,7 @@ def run_lemma8(expensive: bool = False) -> dict:
     pairs = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]
     if expensive:
         pairs.append((4, 2))
+    _use("free")
     clauses = []
     for m, k in pairs:
         rep = check_under_each(free_algebra(m, k), m, k)
@@ -167,6 +175,7 @@ def run_lemma11() -> dict:
 def run_thm13(expensive: bool = False) -> dict:
     """The 2-generated free algebra at m = 3: four maximal dual points and
     qb_3 satisfaction by both routes (with --expensive also at m = 4)."""
+    _use("free")
     free = free_algebra(3, 2)
     poset, _ = delta(free.algebra)
     maximal = [x for x in range(poset.size) if poset.up[x] == 1 << x]
@@ -195,6 +204,7 @@ def run_thm16(trials: int = 200, expensive: bool = False) -> dict:
     """Random special-form quasiequations in one variable hold in the free
     algebra exactly when they hold in the variety (with --expensive also a
     two-variable sample)."""
+    _use("free")
     rep = check_special_structural(1, trials)
     detail = f"{trials} trials, seed {rep.seed}, {len(rep.skipped)} skipped"
     if rep.mismatches:
@@ -219,6 +229,7 @@ COVER_EXPECTED = {
 def run_covers() -> dict:
     """The three cover-candidate posets: validation plus stable qb_3/ib_2
     verdicts (reported against frozen values; no covering claim)."""
+    _use("free")
     rep = cover_fixture_checks()
     clauses = [
         _clause("fixtures validate", rep.valid == COVER_EXPECTED["valid"],

@@ -20,7 +20,6 @@ from .core import (
     ValidationReport,
     validate_palgebra,
 )
-from .duality import FinitePoset, validate_poset
 
 
 def algebra_to_dict(a: FiniteAlgebra) -> dict:
@@ -76,12 +75,16 @@ def poset_to_dict(p: FinitePoset) -> dict:
 
 def parse_poset(data: dict) -> FinitePoset:
     """The file's cover list, closed, with the laws not yet checked."""
+    from .duality import FinitePoset  # only posets need the duality module
+
     with _malformed("poset"):
         return FinitePoset.from_covers(declared_size(data),
                                        [tuple(map(operator.index, c)) for c in data["covers"]])
 
 
 def poset_from_dict(data: dict) -> FinitePoset:
+    from .duality import validate_poset
+
     p = parse_poset(data)
     _require_valid("poset", validate_poset(p))
     return p

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import sys
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 
@@ -15,7 +16,7 @@ print(json.dumps({"correct": True, "metrics": {"verdicts_per_s": {"value": float
 """
 
 
-def test_runs_are_appended_per_workload(tmp_path, capsys):
+def _tool_and_checkout(tmp_path):
     spec = importlib.util.spec_from_file_location("bench_record", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -24,6 +25,11 @@ def test_runs_are_appended_per_workload(tmp_path, capsys):
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
     (root / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 7, "workloads": [{"name": "sweep"}, {"name": "cli"}]}))
+    return tool, root
+
+
+def test_runs_are_appended_per_workload(tmp_path, capsys):
+    tool, root = _tool_and_checkout(tmp_path)
     out = tmp_path / "BENCH.json"
     assert tool.main(["--root", str(root), "--label", "parent", "--out", str(out)]) == 0
     assert tool.main(["--root", str(root), "--label", "change", "--out", str(out),
@@ -35,3 +41,17 @@ def test_runs_are_appended_per_workload(tmp_path, capsys):
     assert runs[2]["result"]["metrics"]["verdicts_per_s"]["value"] == 7.0
     assert runs[0]["commit"] is None  # not a git checkout
     assert "change cli: correct=True" in capsys.readouterr().out
+
+
+def test_each_entry_records_the_bytecode_setting(tmp_path, monkeypatch):
+    tool, root = _tool_and_checkout(tmp_path)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert tool.main(["--root", str(root), "--label", "uncached", "--out", str(out),
+                      "--workload", "cli"]) == 0
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert tool.main(["--root", str(root), "--label", "cached", "--out", str(out),
+                      "--workload", "cli"]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert [r["PYTHONDONTWRITEBYTECODE"] for r in runs] == ["1", None]
+    assert [r["dont_write_bytecode"] for r in runs] == [bool(sys.flags.dont_write_bytecode)] * 2

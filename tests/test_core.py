@@ -18,7 +18,8 @@ from palg import (
     trivial_algebra,
     validate_palgebra,
 )
-from palg.core import ResourceLimitError, principal_congruence
+from palg.core import ResourceLimitError, close, principal_congruence
+from palg.duality import posets_up_to
 
 
 def three_chain_stone():
@@ -324,3 +325,22 @@ def test_thread_safety_of_shared_values(bn):
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(work, range(8)))
     assert len(set(results)) == 1
+
+
+def test_join_irreducibles_are_the_elements_with_one_lower_cover(bn, free1):
+    for a in [*bn.values(), free1.algebra, *(epsilon(p) for p in posets_up_to(4))]:
+        def lower_covers(x):
+            below = [y for y in range(a.size) if y != x and a.leq(y, x)]
+            return [y for y in below if not any(z != y and a.leq(y, z) for z in below)]
+        assert a.join_irreducibles == tuple(
+            x for x in range(a.size) if x != a.zero and len(lower_covers(x)) == 1)
+
+
+def test_close_stops_inside_the_round_that_passes_the_cap():
+    def union(x):
+        return x.__or__
+
+    bits = {1 << i for i in range(20)}
+    # the first round alone makes all 210 unions of at most two bits
+    assert len(close(bits, (), (union,), cap=1000)) > 1000
+    assert 100 < len(close(bits, (), (union,), cap=100)) <= 200

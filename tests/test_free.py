@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -62,6 +63,20 @@ class TestBuildFree:
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
             build_free(3, 2, max_size=100)
+
+    @pytest.mark.parametrize("m,k,message", [
+        # one closure round would collect about a million elements
+        (1, 7, "closure passed"),
+        # the ambient product alone has 20 195 coordinates
+        (9, 9, "product passes"),
+        # 2^k coordinates, too many to print
+        (1, 10 ** 8, "product passes"),
+    ])
+    def test_caps_act_before_the_work(self, m, k, message):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=message):
+            build_free(m, k)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestUniversalProperty:

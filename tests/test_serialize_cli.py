@@ -170,6 +170,7 @@ class TestCli:
 
     def test_resource_exit_code(self):
         assert main(["make", "bn", "13"]) == 3
+        assert main(["make", "free", "--m", "9", "--k", "9"]) == 3
 
     def test_deep_terms_at_the_cli(self, tmp_path):
         b1 = tmp_path / "b1.json"

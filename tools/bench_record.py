@@ -7,16 +7,20 @@ Runs ``perfbench/run.py`` of the checkout once per workload (all of the
 checkout's ``BENCHMARK.json`` workloads by default) for the
 ``run_seconds`` that file sets, and appends one entry per run to
 ``--out``: the label, the checkout's ``git describe``, the settings, the
-result line (the end-to-end metrics and ``correct``) and the detail line
-before it, which holds the per-task node and valuation counts next to
-their times.  Call it once per side and repeat, alternating sides, to
-record pairs.  Uses the standard library only.
+bytecode setting the runs inherit, the result line (the end-to-end metrics
+and ``correct``) and the detail line before it, which holds the per-task
+node and valuation counts next to their times.  A cold ``palg`` process
+compiles every module it imports when bytecode is not written, so ``cli``
+runs with and without a bytecode cache are not comparable.  Call it once
+per side and repeat, alternating sides, to record pairs.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -64,6 +68,8 @@ def main(argv: list[str] | None = None) -> int:
         started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         entry = {"label": args.label, "commit": commit, "workload": workload, "seed": args.seed,
                  "seconds": seconds, "started": started,
+                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                 "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
                  **run_workload(root, workload, args.seed, seconds)}
         record["runs"].append(entry)
         # written after every run, so an interrupted series keeps what it measured
