@@ -80,8 +80,8 @@ def _cmd_make(args) -> int:
         print(f"make {kind} needs a numeric parameter", file=sys.stderr)
         return EXIT_INPUT
     if kind == "bn":
-        data = algebra_to_dict(make_bn(args.n))
-        dot = algebra_to_dot(make_bn(args.n)) if args.dot else None
+        a = make_bn(args.n)
+        data, dot = algebra_to_dict(a), algebra_to_dot(a) if args.dot else None
     elif kind == "free":
         if args.m is None or args.k is None:
             print("make free needs --m and --k", file=sys.stderr)
@@ -108,17 +108,28 @@ def _cmd_make(args) -> int:
     return EXIT_OK
 
 
+def _need(args, *options: str) -> None:
+    """Refuse a command that misses one of its file ``options``."""
+    for option in options:
+        if getattr(args, option) is None:
+            what = args.what if args.command == "check" else args.kind
+            raise StructureError(f"{args.command} {what} needs --{option}")
+
+
 def _cmd_check(args) -> int:
     if args.what == "palgebra":
         from .core import validate_palgebra
+        _need(args, "file")
         a = serialize.parse_algebra(load_json(args.file))
         rep = validate_palgebra(a)
     elif args.what == "poset":
         _use("duality")
+        _need(args, "file")
         p = serialize.parse_poset(load_json(args.file))
         rep = validate_poset(p)
     elif args.what == "ppmap":
         _use("duality")
+        _need(args, "src", "dst", "map")
         src = _load_poset(args.src)
         dst = _load_poset(args.dst)
         table = serialize.map_from_dict(load_json(args.map))
@@ -128,6 +139,7 @@ def _cmd_check(args) -> int:
             print("valid pp-morphism (not surjective)")
     elif args.what == "quasieq":
         _use("logic")
+        _need(args, "algebra")
         a = _load_algebra(args.algebra)
         q = _parse_quasieq(args)
         res = satisfies(a, q, budget=args.budget)
@@ -193,6 +205,7 @@ def _cmd_dual(args) -> int:
 def _cmd_search(args) -> int:
     if args.kind == "ppmorph":
         _use("duality")
+        _need(args, "src", "dst")
         src = _load_poset(args.src)
         dst = _load_poset(args.dst)
         res = find_surjective_ppmorphism(src, dst, budget=args.budget)
@@ -202,6 +215,7 @@ def _cmd_search(args) -> int:
         print(res.status)
         return EXIT_FAIL if res.status == "none" else EXIT_INCONCLUSIVE
     if args.kind in ("embed", "homs"):
+        _need(args, "small", "big")
         small = _load_algebra(args.small)
         big = _load_algebra(args.big)
         find = enumerate_embeddings if args.kind == "embed" else enumerate_homomorphisms
@@ -217,6 +231,7 @@ def _cmd_search(args) -> int:
         return EXIT_INCONCLUSIVE
     if args.kind == "member":
         _use("duality")
+        _need(args, "algebra")
         a = _load_algebra(args.algebra)
         gens = [_load_algebra(g) for g in args.gens]
         res = finite_membership(a, gens, budget=args.budget)

@@ -51,17 +51,35 @@ class ValidationReport:
         return self.ok
 
 
+def bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
 def transpose(masks) -> tuple[int, ...]:
     """The converse relation of one given by bitmask rows: bit ``x`` of
     ``out[y]`` is set iff bit ``y`` of ``masks[x]`` is."""
     out = [0] * len(masks)
     for x, m in enumerate(masks):
         bit = 1 << x
-        while m:
-            b = m & -m
-            out[b.bit_length() - 1] |= bit
-            m ^= b
+        for y in bits(m):
+            out[y] |= bit
     return tuple(out)
+
+
+def covers(up, down) -> list[tuple[int, int]]:
+    """Hasse edges ``(x, y)``, sorted, of the relation whose rows are ``up``
+    (bit ``y`` of ``up[x]`` iff ``x R y``) and ``down`` (its transpose):
+    ``x R y`` for ``x != y`` with no third point ``z`` such that
+    ``x R z R y``.  Only the points related to ``x`` are visited."""
+    out = []
+    for x, m in enumerate(up):
+        strict = m & ~(1 << x)
+        out += [(x, y) for y in bits(strict) if not strict & down[y] & ~(1 << y)]
+    return out
 
 
 def _frozen_array(table) -> np.ndarray:
@@ -623,32 +641,32 @@ def _si_by_congruences(a: FiniteAlgebra) -> bool:
 def _si_by_shape(a: FiniteAlgebra) -> bool:
     # structural test: one is join-irreducible and A \ {1} is a Boolean
     # sublattice whose top e is the unique lower cover of 1, with star
-    # acting as complementation on it.
-    n = a.size
+    # acting as complementation on it.  Read off the order masks and the
+    # tables only, so that it stays independent of the congruence route.
+    n, zero, one, meet, join, star = a.size, a.zero, a.one, a.meet, a.join, a.star
     if n < 2:
         return False
-    one = a.one
-    below_one = [x for x in range(n) if x != one]
-    covers = [x for x in below_one
-              if not any(z != x and a.leq(x, z) for z in below_one if a.leq(z, one))]
-    if len(covers) != 1:
+    rest = ((1 << n) - 1) & ~(1 << one)
+    below_one = a.down_masks[one] & rest
+    # the lower covers of 1: no other element below 1 lies above them
+    lower = [x for x in bits(rest) if not a.up_masks[x] & below_one & ~(1 << x)]
+    if len(lower) != 1:
         return False
-    e = covers[0]
-    b = set(below_one)
-    for x in below_one:
-        if not a.leq(x, e):
+    e = lower[0]
+    if rest & ~a.down_masks[e]:  # everything but 1 lies below e
+        return False
+    b = set(range(n)) - {one}  # A \ {1} is closed under meet and join
+    if not all(b.issuperset(row[:one]) and b.issuperset(row[one + 1:])
+               for table in (meet, join) for x, row in enumerate(table) if x != one):
+        return False
+    # zero needs a complement: y != 1 with 0 ^ y = 0 (bit y of up[0]) and 0 v y = e
+    if zero != one and not any(join[zero][y] == e for y in bits(a.up_masks[zero] & rest)):
+        return False
+    for x in bits(rest & ~(1 << zero)):  # x* is a complement of x in A \ {1}
+        s = star[x]
+        if s not in b or meet[x][s] != zero or join[x][s] != e:
             return False
-        for y in below_one:
-            if a.meet[x][y] not in b or a.join[x][y] not in b:
-                return False
-    for x in below_one:
-        comp = [y for y in below_one
-                if a.meet[x][y] == a.zero and a.join[x][y] == e]
-        if not comp:
-            return False
-        if x != a.zero and a.star[x] not in comp:
-            return False
-    return a.star[a.zero] == one and a.star[one] == a.zero
+    return star[zero] == one and star[one] == zero
 
 
 @dataclass(frozen=True)

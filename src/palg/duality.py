@@ -21,6 +21,8 @@ from .core import (
     StructureError,
     ValidationReport,
     Violation,
+    bits,
+    covers,
     transpose,
     upset_algebra,
 )
@@ -112,15 +114,7 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (lower, upper), sorted."""
-        out = []
-        for x in range(self.size):
-            strict = self.up[x] & ~(1 << x)
-            for y in range(self.size):
-                if (strict >> y) & 1:
-                    between = strict & self.down[y] & ~(1 << y)
-                    if between == 0:
-                        out.append((x, y))
-        return sorted(out)
+        return covers(self.up, self.down)
 
     def __repr__(self) -> str:
         return f"FinitePoset(size={self.size}, covers={self.covers()})"
@@ -136,7 +130,7 @@ def validate_poset(p: FinitePoset) -> ValidationReport:
     viol = [Violation("reflexive", (x,)) for x in range(p.size) if not (up[x] >> x) & 1][:1]
     anti = trans = None
     for x in range(p.size):
-        for y in _bits(up[x] & ~(1 << x)):
+        for y in bits(up[x] & ~(1 << x)):
             if anti is None and (up[y] >> x) & 1:
                 anti = Violation("antisymmetric", (x, y))
             gap = up[y] & ~up[x]
@@ -152,15 +146,7 @@ def max_up(p: FinitePoset, x: int) -> frozenset[int]:
     """Maximal elements of the upset of ``x``."""
     if not (0 <= x < p.size):
         raise ValueError("point index out of range")
-    m = p.max_up_masks[x]
-    return frozenset(y for y in range(p.size) if (m >> y) & 1)
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & (-mask)
-        yield b.bit_length() - 1
-        mask ^= b
+    return frozenset(bits(p.max_up_masks[x]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +160,11 @@ def delta(a: FiniteAlgebra) -> tuple[FinitePoset, tuple[int, ...]]:
     maps point index to algebra index.
     """
     labels = a.join_irreducibles
-    n = len(labels)
-    up = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if a.leq(labels[j], labels[i]):  # converse order
-                m |= 1 << j
-        up.append(m)
-    return FinitePoset(n, tuple(up)), labels
+    point = {x: i for i, x in enumerate(labels)}
+    ji = sum(1 << x for x in labels)
+    # the converse order: the points above a point are the labels below it
+    up = [sum(1 << point[y] for y in bits(a.down_masks[x] & ji)) for x in labels]
+    return FinitePoset(len(labels), tuple(up)), labels
 
 
 def upsets_of(p: FinitePoset, max_count: int | None = None) -> list[int]:
@@ -256,7 +238,7 @@ def validate_ppmap(f: PPMap) -> ValidationReport:
     s, t, tab = f.source, f.target, f.table
     viol = []
     for x in range(s.size):
-        for y in _bits(s.up[x]):
+        for y in bits(s.up[x]):
             if not t.leq(tab[x], tab[y]):
                 viol.append(Violation("order-preserving", (x, y)))
                 break
@@ -265,12 +247,12 @@ def validate_ppmap(f: PPMap) -> ValidationReport:
         break
     for x in range(s.size):
         img = 0
-        for y in _bits(s.max_up_masks[x]):
+        for y in bits(s.max_up_masks[x]):
             img |= 1 << tab[y]
         if img != t.max_up_masks[tab[x]]:
             viol.append(Violation("pp condition f(max up(x)) = max up(f(x))",
-                                  (x, tuple(sorted(_bits(img))),
-                                   tuple(sorted(_bits(t.max_up_masks[tab[x]]))))))
+                                  (x, tuple(sorted(bits(img))),
+                                   tuple(sorted(bits(t.max_up_masks[tab[x]]))))))
             break
     return ValidationReport(ok=not viol, violations=tuple(viol))
 
@@ -310,10 +292,10 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
     up_d, down_d = dst.up, dst.down
     forward: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(ns)]
     for x in range(ns):
-        for y in _bits(up_s[x] >> (x + 1)):
+        for y in bits(up_s[x] >> (x + 1)):
             y += x + 1
             forward[x].append((y, mu_d if (mu_s[x] >> y) & 1 else up_d))
-        for y in _bits(up_s[x] & ((1 << x) - 1)):
+        for y in bits(up_s[x] & ((1 << x) - 1)):
             forward[y].append((x, down_d))
     # a maximal point must land on a maximal point; for a maximal y above i
     # and assigned before it, f(y) in max up(f(i)) then follows from f(i)
@@ -322,8 +304,8 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
     # forward checking keeps f(max up(x)) inside max up(f(x)), so a complete
     # assignment is a pp-morphism iff no point of max up(f(x)) is missed,
     # which only a point with two or more maximals above it can do
-    max_lists = [(x, list(_bits(m))) for x, m in enumerate(mu_s) if m & (m - 1)]
-    required_pts = set(_bits(required))
+    max_lists = [(x, list(bits(m))) for x, m in enumerate(mu_s) if m & (m - 1)]
+    required_pts = set(bits(required))
 
     def expand(i, f, state):
         dom, covered = state
@@ -335,7 +317,7 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
             if (reach & required) != required:
                 return
         maximal = (max_s >> i) & 1
-        for t in _bits(dom[i]):
+        for t in bits(dom[i]):
             f[i] = t
             if maximal and not (max_d >> t) & 1:
                 yield None
@@ -515,7 +497,6 @@ class MembershipResult:
 
 
 def finite_membership(a: FiniteAlgebra, generators: list[FiniteAlgebra],
-                      max_copies: int | None = None,
                       budget: int = DEFAULT_SEARCH_BUDGET) -> MembershipResult:
     """Decide membership of ``a`` in the quasivariety generated by
     ``generators``, dually: is there a surjective pp-morphism from a
@@ -526,8 +507,7 @@ def finite_membership(a: FiniteAlgebra, generators: list[FiniteAlgebra],
     summand, so it suffices to know which target points each generator
     dual can reach: per target point, search for a pp-morphism whose
     image contains it.  At most one summand per point is needed, which
-    also bounds the multiplicity of each generator by ``delta(a)``'s
-    size; a smaller ``max_copies`` restricts the witness accordingly.
+    bounds the multiplicity of each generator by ``delta(a)``'s size.
     The per-point searches share one ``budget`` of nodes, each getting
     what the earlier ones left; "no" requires every search it rests on to
     exhaust within it, and a spent budget ends the run "inconclusive".
@@ -560,12 +540,6 @@ def finite_membership(a: FiniteAlgebra, generators: list[FiniteAlgebra],
         chosen.append((gi, table))
         for v in table:
             covered |= 1 << v
-    if max_copies is not None:
-        counts = [0] * len(generators)
-        for gi, _tab in chosen:
-            counts[gi] += 1
-        if any(c > max_copies for c in counts):
-            return MembershipResult("inconclusive", None, (), nodes)
     union = disjoint_union([duals[gi] for gi, _ in chosen])
     table = tuple(v for _, tab in chosen for v in tab)
     return MembershipResult("yes", PPMap(union, target, table),

@@ -26,6 +26,7 @@ from .core import (
     InconsistentMethodsError,
     MAX_ALGEBRA_SIZE,
     ResourceLimitError,
+    bits,
     close,
     is_isomorphic,
     enumerate_embeddings,
@@ -142,44 +143,32 @@ class UnderEachReport:
     ok: bool
 
 
-def check_under_each(f: FreeAlgebraResult, m: int, k: int,
-                     check_stabilization: bool = True) -> UnderEachReport:
+def check_under_each(f: FreeAlgebraResult, m: int, k: int) -> UnderEachReport:
     """Clauses (1)-(4) of the free-algebra dual-structure lemma; the
     clauses guarded by ``m >= 2^k`` are skipped (None) when the guard
-    fails."""
-    poset, labels = delta(f.algebra)
-    maximal = [x for x in range(poset.size) if poset.up[x] == 1 << x]
+    fails.  Clause (4)'s stabilization compares ``f`` with the free
+    algebra at ``m = 2^k`` up to isomorphism."""
+    poset, _ = delta(f.algebra)
+    maximal = list(bits(poset.maximal_mask))
     clause1 = len(maximal) == (1 << k)
 
-    mus = {x: poset.max_up_masks[x] for x in range(poset.size)}
-    present = set(mus.values())
-    missing = []
-    for r in range(1, min(m, len(maximal)) + 1):
-        for subset in itertools.combinations(maximal, r):
-            mask = 0
-            for a in subset:
-                mask |= 1 << a
-            if mask not in present:
-                missing.append(subset)
+    present = set(poset.max_up_masks)
+    missing = [subset for r in range(1, min(m, len(maximal)) + 1)
+               for subset in itertools.combinations(maximal, r)
+               if sum(1 << a for a in subset) not in present]
 
     guard = m >= (1 << k)
     clause3 = None
     clause4_ji = None
     clause4_stab = None
     if guard:
-        full_max = 0
-        for a in maximal:
-            full_max |= 1 << a
-        hits = [x for x in range(poset.size) if mus[x] == full_max]
-        bottoms = [x for x in range(poset.size)
-                   if all(poset.leq(x, y) for y in range(poset.size))]
+        hits = [x for x, mu in enumerate(poset.max_up_masks) if mu == poset.maximal_mask]
+        everything = (1 << poset.size) - 1
+        bottoms = [x for x, u in enumerate(poset.up) if u == everything]
         clause3 = len(hits) == 1 and bottoms == hits
         clause4_ji = f.algebra.one in f.algebra.join_irreducibles
-        if check_stabilization:
-            other = build_free(1 << k, k)
-            clause4_stab = is_isomorphic(f.algebra, other.algebra)[0]
-    ok = clause1 and not missing and (not guard or (clause3 and clause4_ji
-                                                    and clause4_stab is not False))
+        clause4_stab = is_isomorphic(f.algebra, build_free(1 << k, k).algebra)[0]
+    ok = clause1 and not missing and (not guard or (clause3 and clause4_ji and clause4_stab))
     return UnderEachReport(m, k, len(maximal), tuple(missing),
                            clause3, clause4_ji, clause4_stab, ok)
 
@@ -241,16 +230,15 @@ def _random_term(rng: random.Random, names: list[str], depth: int) -> Term:
     return Star(_random_term(rng, names, depth - 1))
 
 
-def random_special_quasiequation(rng: random.Random, nvars: int,
-                                 max_depth: int = 4,
-                                 max_premises: int = 3) -> Quasiequation:
+def random_special_quasiequation(rng: random.Random, nvars: int) -> Quasiequation:
     """A random quasiequation of the special form
-    ``t_1 = 1 & ... & t_j = 1 => s = 1``."""
+    ``t_1 = 1 & ... & t_j = 1 => s = 1``, with at most 3 premises and
+    terms of depth at most 4 (the conclusion's at least 1)."""
     names = [f"x{i}" for i in range(1, nvars + 1)]
     one = Const(1)
-    premises = tuple((_random_term(rng, names, rng.randrange(max_depth + 1)), one)
-                     for _ in range(rng.randrange(max_premises + 1)))
-    return Quasiequation(premises, (_random_term(rng, names, rng.randrange(1, max_depth + 1)), one))
+    premises = tuple((_random_term(rng, names, rng.randrange(5)), one)
+                     for _ in range(rng.randrange(4)))
+    return Quasiequation(premises, (_random_term(rng, names, rng.randrange(1, 5)), one))
 
 
 @dataclass(frozen=True)

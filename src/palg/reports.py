@@ -178,12 +178,12 @@ def run_thm13(expensive: bool = False) -> dict:
     _use("free")
     free = free_algebra(3, 2)
     poset, _ = delta(free.algebra)
-    maximal = [x for x in range(poset.size) if poset.up[x] == 1 << x]
+    maximal = poset.maximal_mask.bit_count()
     clauses = [
         _clause("build_free(3,2) completes",
                 True, f"size {free.algebra.size}, dual {poset.size} points"),
-        _clause("dual has exactly 4 maximal points", len(maximal) == 4,
-                f"{len(maximal)} maximal points"),
+        _clause("dual has exactly 4 maximal points", maximal == 4,
+                f"{maximal} maximal points"),
     ]
     rep = check_free_qb3(3, 2, built=free)
     clauses.append(_clause(

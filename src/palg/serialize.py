@@ -18,6 +18,7 @@ from .core import (
     ResourceLimitError,
     StructureError,
     ValidationReport,
+    covers,
     validate_palgebra,
 )
 
@@ -117,29 +118,20 @@ def load_object(path: str | Path) -> FiniteAlgebra | FinitePoset:
     return algebra_from_dict(data)
 
 
-def poset_to_dot(p: FinitePoset, name: str = "poset") -> str:
+def _hasse_dot(graph: str, labels, edges) -> str:
+    """A Hasse diagram, bottom-up, one node per label in index order."""
+    lines = [f"digraph {graph} {{", "  rankdir=BT;"]
+    lines += [f"  n{x} [label=\"{label}\"];" for x, label in enumerate(labels)]
+    lines += [f"  n{lo} -> n{hi};" for lo, hi in edges]
+    return "\n".join(lines) + "\n}\n"
+
+
+def poset_to_dot(p: FinitePoset) -> str:
     """Hasse diagram, bottom-up; nodes and edges sorted for stable output."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for x in range(p.size):
-        lines.append(f"  n{x} [label=\"{x}\"];")
-    for lo, hi in p.covers():
-        lines.append(f"  n{lo} -> n{hi};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _hasse_dot("poset", range(p.size), p.covers())
 
 
-def algebra_to_dot(a: FiniteAlgebra, name: str = "algebra") -> str:
+def algebra_to_dot(a: FiniteAlgebra) -> str:
     """Hasse diagram of the lattice order with star annotations."""
-    covers = []
-    for x in range(a.size):
-        above = [y for y in range(a.size) if y != x and a.leq(x, y)]
-        for y in above:
-            if not any(z != y and a.leq(z, y) for z in above):
-                covers.append((x, y))
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for x in range(a.size):
-        lines.append(f"  n{x} [label=\"{x} (*{a.star[x]})\"];")
-    for lo, hi in sorted(covers):
-        lines.append(f"  n{lo} -> n{hi};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _hasse_dot("algebra", (f"{x} (*{s})" for x, s in enumerate(a.star)),
+                      covers(a.up_masks, a.down_masks))

@@ -14,7 +14,9 @@ from functools import lru_cache
 
 from .core import (
     DEFAULT_SEARCH_BUDGET,
+    MAX_ALGEBRA_SIZE,
     EnumerationResult,
+    ResourceLimitError,
     StructureError,
     ValidationReport,
     Violation,
@@ -231,11 +233,19 @@ class _QuasigroupHom:
 # posets
 
 
+def _refuse_past_budget(points: int) -> None:
+    """Refuse, before anything is built, a poset no loader would accept."""
+    if points > MAX_ALGEBRA_SIZE:
+        raise ResourceLimitError(f"a poset of {points} points exceeds the table budget "
+                                 f"{MAX_ALGEBRA_SIZE}")
+
+
 def poset_of(s: SteinerSystem) -> FinitePoset:
     """The height-1 poset on points plus blocks: points 0..v-1 are the
     maximal elements, blocks follow in lexicographic order as minimal
-    elements, each below exactly its three points."""
+    elements, each below exactly its three points; refused past the table budget."""
     v = s.order
+    _refuse_past_budget(v + len(s.blocks))
     covers = []
     for bi, b in enumerate(s.blocks):
         for p in b:
@@ -248,6 +258,7 @@ def make_p1(m: int) -> FinitePoset:
     maximals are indices 0..m-1 and the bottom is index m."""
     if m < 1:
         raise ValueError("m must be positive")
+    _refuse_past_budget(m + 1)
     return FinitePoset.from_covers(m + 1, [(m, i) for i in range(m)])
 
 
@@ -261,6 +272,7 @@ def paste_w(m: int) -> FinitePoset:
     last index, giving ``13 + m`` points."""
     if m < 3:
         raise ValueError("m must be at least 3")
+    _refuse_past_budget(13 + m)
     fano = poset_of(fano_system())
     n = fano.size + (m - 2) + 1
     covers = list(fano.covers())

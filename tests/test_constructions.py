@@ -13,6 +13,7 @@ import pytest
 
 from palg import (
     build_free,
+    delta,
     epsilon,
     generated_subalgebra,
     make_bn,
@@ -24,6 +25,7 @@ from palg import (
     trivial_algebra,
     validate_palgebra,
 )
+from palg.core import covers
 from palg.steiner import fano_system
 
 
@@ -241,3 +243,29 @@ def test_certificate_accepts_every_construction(name, scan_agrees):
         assert scan_agrees(a).ok
     else:  # the cubic scan would take minutes
         assert validate_palgebra(a).ok
+
+
+def _hasse_by_leq(a):
+    """The lattice's Hasse edges by a search over ``leq``: ``y`` covers
+    ``x`` iff no third point above ``x`` lies below ``y``."""
+    out = []
+    for x in range(a.size):
+        above = [y for y in range(a.size) if y != x and a.leq(x, y)]
+        out += [(x, y) for y in above if not any(z != y and a.leq(z, y) for z in above)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_order_readers_match_the_leq_oracles(name):
+    a, _ = CASES[name]()
+    poset, labels = delta(a)
+    assert labels == a.join_irreducibles
+    # the converse order on the join-irreducibles
+    assert poset.up == tuple(sum(1 << j for j, y in enumerate(labels) if a.leq(y, x))
+                             for x in labels)
+    assert poset.covers() == [(x, y) for x in range(poset.size) for y in range(poset.size)
+                              if x != y and poset.leq(x, y)
+                              and not any(poset.leq(x, z) and poset.leq(z, y)
+                                          for z in range(poset.size) if z not in (x, y))]
+    if a.size <= 700:  # the search is cubic on the larger pasted-poset algebras
+        assert covers(a.up_masks, a.down_masks) == _hasse_by_leq(a)

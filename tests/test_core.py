@@ -18,7 +18,7 @@ from palg import (
     trivial_algebra,
     validate_palgebra,
 )
-from palg.core import ResourceLimitError, close, principal_congruence
+from palg.core import ResourceLimitError, _si_by_shape, close, principal_congruence
 from palg.duality import posets_up_to
 
 
@@ -308,6 +308,46 @@ class TestSubdirectIrreducibility:
         for a in corpus:
             if a.size <= 12:
                 is_subdirectly_irreducible(a, diagnostics=True)  # raises on mismatch
+
+    def test_shape_test_matches_the_leq_search_on_mutants(self):
+        # the shape test as it read before it ran on the order masks: a
+        # cubic search over ``leq``, kept as the oracle for any tables
+        def by_leq(a):
+            n = a.size
+            if n < 2:
+                return False
+            one = a.one
+            below_one = [x for x in range(n) if x != one]
+            covers = [x for x in below_one
+                      if not any(z != x and a.leq(x, z) for z in below_one if a.leq(z, one))]
+            if len(covers) != 1:
+                return False
+            e = covers[0]
+            b = set(below_one)
+            for x in below_one:
+                if not a.leq(x, e):
+                    return False
+                for y in below_one:
+                    if a.meet[x][y] not in b or a.join[x][y] not in b:
+                        return False
+            for x in below_one:
+                comp = [y for y in below_one if a.meet[x][y] == a.zero and a.join[x][y] == e]
+                if not comp:
+                    return False
+                if x != a.zero and a.star[x] not in comp:
+                    return False
+            return a.star[a.zero] == one and a.star[one] == a.zero
+
+        bases = [make_bn(n) for n in range(4)] + [three_chain_stone(), trivial_algebra(),
+                                                  product([make_bn(0), make_bn(1)])]
+        valid = bases + [make_bn(5)] + [epsilon(p) for p in posets_up_to(4)]
+        # every zero/one choice on the bases, zero == one included
+        bounds = [FiniteAlgebra(a.size, a.meet, a.join, a.star, z, o)
+                  for a in bases for z in range(a.size) for o in range(a.size)]
+        cases = valid + bounds + list(mutants(3, 900))
+        verdicts = [_si_by_shape(a) for a in cases]
+        assert verdicts == [by_leq(a) for a in cases]
+        assert len(cases) - len(valid) >= 900 and 20 < sum(verdicts) < len(cases) - 20
 
     def test_principal_congruence_collapse(self, bn):
         # collapsing e with 1 in bn1 merges only that pair

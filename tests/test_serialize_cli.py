@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,10 +12,14 @@ import palg
 from palg import (
     ResourceLimitError,
     StructureError,
+    build_free,
+    construct_sts,
+    epsilon,
     format_quasiequation,
     make_bn,
     make_p1,
     make_qb,
+    poset_of,
     posets_up_to,
 )
 from palg import cli, serialize
@@ -28,7 +33,7 @@ from palg.serialize import (
     poset_to_dict,
     poset_to_dot,
 )
-from palg.steiner import paste_w
+from palg.steiner import fano_system, paste_w
 
 
 class TestSerialization:
@@ -65,6 +70,40 @@ class TestSerialization:
             "  n0 [label=\"0\"];\n  n1 [label=\"1\"];\n"
             "  n1 -> n0;\n}\n")
         assert algebra_to_dot(bn[1]) == algebra_to_dot(bn[1])
+
+
+# sha256 of the DOT text, recorded while Hasse edges were still found by
+# searches over ``leq`` and over every pair of points
+DOT_PINS = {
+    "B0": "905258ca4226748f6eea30e1cc816116a59806a8e657efa6e32f8bf89ec084f9",
+    "B1": "1d8d573d81d1cd7fa554f8f6cae65a9bc954ab6ade16772f15b381b899b89ca2",
+    "B2": "a38991c9775c16449ae3dfe3afc05653443122eea7a0ac4a7dba27806fa73cc2",
+    "B3": "88ea0b36a95d2de818384796ab940cd160ccbca7f513a9a22f83b81bfd734191",
+    "B4": "f7dd8fbe9f3eaad177bd73ac9012c8e7446d944f850f092c379dd23d75176988",
+    "B5": "244d00cce13b085bf98645eae130efd786b74e2c976c92484d6311a0b341ea17",
+    "B6": "45e739625e669b15a4e8eae6d69e6a75940f884137a903e9e7cf70fcae12a250",
+    "eps-fano": "a48f727eefd766c9fdf993302d70b04adbd9552cfd5cad0887a25e21a6d5ab92",
+    "free32": "616059b83ae2922677da7fe8c52a82c8af7a539b24103802a9b69a812cf79089",
+    "p1-5": "c6688a407c93e040a267f1aa36e9c8ad099e19205a3b63b7692ed9d437e1fff0",
+    "w4": "13964b2fd971e5479765b1e38b3f14ad67b470263edec8afefff8016b4baf5fd",
+    "s13": "b587528da8120437f9115ba5bb272b5a5d1ccc234c215af4c63989dfbe21986d",
+}
+
+
+def _dot_cases():
+    cases = {f"B{n}": (lambda n=n: algebra_to_dot(make_bn(n))) for n in range(7)}
+    cases["eps-fano"] = lambda: algebra_to_dot(epsilon(poset_of(fano_system())))
+    cases["free32"] = lambda: algebra_to_dot(build_free(3, 2).algebra)
+    cases["p1-5"] = lambda: poset_to_dot(make_p1(5))
+    cases["w4"] = lambda: poset_to_dot(paste_w(4))
+    cases["s13"] = lambda: poset_to_dot(poset_of(construct_sts(13)))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(DOT_PINS))
+def test_dot_text_is_pinned(name):
+    text = _dot_cases()[name]()
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_PINS[name]
 
 
 @pytest.fixture()
@@ -332,6 +371,36 @@ class TestCli:
 
     def test_make_missing_parameter(self):
         assert main(["make", "p1"]) == 2
+
+    @pytest.mark.parametrize("argv,option", [
+        (["check", "palgebra"], "--file"),
+        (["check", "poset"], "--file"),
+        (["check", "ppmap", "--src", "p13", "--dst", "p13"], "--map"),
+        (["check", "quasieq", "--q", "x = x"], "--algebra"),
+        (["search", "ppmorph", "--dst", "p13"], "--src"),
+        (["search", "embed", "--small", "bn3"], "--big"),
+        (["search", "homs", "--big", "bn3"], "--small"),
+        (["search", "member", "--gens", "bn3"], "--algebra"),
+    ])
+    def test_a_missing_file_option_is_an_input_error(self, files, argv, option):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
+        run = subprocess.run([sys.executable, "-m", "palg.cli", *(files.get(a, a) for a in argv)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        assert run.stderr == f"input error: {argv[0]} {argv[1]} needs {option}\n"
+
+    @pytest.mark.parametrize("kind,n,code", [
+        ("p1", 4999, 0), ("w", 4987, 0), ("sts", 169, 0),
+        ("p1", 5000, 3), ("w", 4988, 3), ("sts", 171, 3),
+    ])
+    def test_make_refuses_posets_past_the_table_budget(self, tmp_path, kind, n, code):
+        out = tmp_path / "p.json"
+        start = time.perf_counter()
+        assert main(["make", kind, str(n), "--out", str(out)]) == code
+        if code == 0:  # every poset make writes loads again
+            assert main(["check", "poset", "--file", str(out)]) == 0
+        else:
+            assert time.perf_counter() - start < 1 and not out.exists()
 
     def test_dual_epsilon_of_empty_poset(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
