@@ -25,6 +25,7 @@ from .core import DEFAULT_SWEEP_BUDGET, FiniteAlgebra, make_bn
 from .search import Backtrack
 
 _GRID_CELLS = 1 << 18
+_GRID_MIN = 1 << 12
 
 
 class ParseError(ValueError):
@@ -301,6 +302,7 @@ class _Program:
     ``pins[i]``, if set, is ``(star, steps, reg)`` for the first premise,
     lhs before rhs, of the shape ``names[i] = t`` or ``names[i]* = t``
     with ``t`` over earlier variables; ``steps`` leave ``t`` in ``reg``.
+    ``pinned`` counts the variables up to the last pinned one, inclusive.
     """
 
     size: int
@@ -308,6 +310,7 @@ class _Program:
     levels: list
     pins: list
     conclusion: list
+    pinned: int
 
     def registers(self, a: FiniteAlgebra) -> list:
         r = [0] * self.size
@@ -378,7 +381,8 @@ def _compile(q: Quasiequation, names: list[str]) -> _Program:
             if last < slots[var.name]:
                 pins[slots[var.name]] = (star, pin_steps, reg)
     conclusion = check(*q.conclusion)[0]
-    return _Program(size, ground, levels, pins, conclusion)
+    pinned = max((i + 1 for i, pin in enumerate(pins) if pin), default=0)
+    return _Program(size, ground, levels, pins, conclusion, pinned)
 
 
 def _run(steps: list, r: list, meet, join, star) -> bool:
@@ -445,8 +449,8 @@ def _level_search(prog: _Program, r: list, a: FiniteAlgebra, depth: int,
 
 
 def _sweep_backtrack(a: FiniteAlgebra, q: Quasiequation, names: list[str],
-                     budget: int) -> SatisfactionResult:
-    prog = _compile(q, names)
+                     budget: int | None, prog: _Program | None = None) -> SatisfactionResult:
+    prog = prog or _compile(q, names)
     meet, join, star = a.meet, a.join, a.star
     r = prog.registers(a)
     if not _run(prog.ground, r, meet, join, star):
@@ -460,12 +464,15 @@ def _sweep_backtrack(a: FiniteAlgebra, q: Quasiequation, names: list[str],
 
 
 def _sweep_grid(a: FiniteAlgebra, q: Quasiequation, names: list[str],
-                budget: int) -> SatisfactionResult:
+                budget: int | None, prog: _Program | None = None) -> SatisfactionResult:
+    """Searches the lead variables, the last pinned one among them, and
+    fills in the rest, up to ``_GRID_CELLS`` cells per lead assignment, as
+    numpy index grids; nothing counts against ``budget``."""
     import numpy as np
-    prog = _compile(q, names)
+    prog = prog or _compile(q, names)
     n, k = a.size, len(names)
-    g = min(k, 1)
-    while g < k and n ** (g + 1) <= _GRID_CELLS:
+    g = 0
+    while g < k - prog.pinned and n ** (g + 1) <= _GRID_CELLS:
         g += 1
     lead, cells = k - g, n ** g
     tables = a.meet, a.join, a.star
@@ -500,21 +507,25 @@ def satisfies(a: FiniteAlgebra, q: Quasiequation,
     variables through one backtracking level search that checks each
     premise as soon as its variables are bound and solves, per variable,
     the first premise of the shape ``x = t`` / ``x* = t`` over earlier
-    variables.  Small valuation spaces sweep the last variables on
-    vectorized grids under each lead assignment; larger ones search every
-    variable.  If neither finishes within budget the result is
-    inconclusive.
+    variables.  The pins pick the engine: every variable up to the last
+    pinned one is searched, and an unpinned tail of at least ``_GRID_MIN``
+    valuations is filled in as vectorized grids under each lead assignment
+    when the whole space of ``n^k`` valuations fits the budget.  Every
+    other sweep searches every variable.  A space that fits the budget is
+    always decided; a larger one searched past the budget is inconclusive.
     """
     names = variables_of(q)
+    prog = _compile(q, names)
     if not names:
-        prog = _compile(q, names)
         r, tables = prog.registers(a), (a.meet, a.join, a.star)
         if _run(prog.ground, r, *tables) and not _run(prog.conclusion, r, *tables):
             return SatisfactionResult("falsified", {}, 1)
         return SatisfactionResult("satisfied", None, 1)
-    if a.size ** len(names) <= budget:
-        return _sweep_grid(a, q, names, budget)
-    return _sweep_backtrack(a, q, names, budget)
+    n, k = a.size, len(names)
+    fits = n ** k <= budget
+    if fits and n ** (k - prog.pinned) >= _GRID_MIN:
+        return _sweep_grid(a, q, names, budget, prog)
+    return _sweep_backtrack(a, q, names, None if fits else budget, prog)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,19 @@ class TestUnderEach:
         assert rep.top_join_irreducible is True
         assert rep.stabilizes is True
 
+    def test_stabilization_rebuilds_only_past_2_to_the_k(self, free1, monkeypatch):
+        import palg.free as free
+        calls = []
+        for name in ("build_free", "is_isomorphic"):
+            real = getattr(free, name)
+            monkeypatch.setattr(free, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        # at m = 2^k the target of the comparison is f itself
+        assert check_under_each(free1, 2, 1).stabilizes is True
+        assert calls == []
+        assert check_under_each(build_free(3, 1), 3, 1).stabilizes is True
+        assert calls == ["build_free", "is_isomorphic"]
+
     def test_m1_k1_guarded(self):
         rep = check_under_each(build_free(1, 1), 1, 1)
         assert rep.ok

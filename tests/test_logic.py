@@ -112,8 +112,10 @@ def _eps_fano():
     return epsilon(poset_of(fano_system()))
 
 
-# status, least falsifier and valuation count of sweeps before they were
-# compiled; the budget picks the engine (grid when n^k <= budget)
+# the engine each sweep runs on, and its status, least falsifier and
+# valuation count.  The pins pick the engine: the grid runs only when
+# n^k <= budget and an unpinned tail of at least logic._GRID_MIN
+# valuations follows the last pinned variable
 PINNED_SWEEPS = [
     ("eps_w4-qb3", reports.eps_w4, make_qb(3), 50_000_000, "_sweep_backtrack",
      "falsified", {"x1": 457, "x2": 458, "x3": 916}, 1_019_405),
@@ -121,8 +123,15 @@ PINNED_SWEEPS = [
      "falsified", {"x1": 1, "x2": 2, "x3": 4, "x4": 24}, 2_112),
     ("eps_fano-qb3", _eps_fano, make_qb(3), 50_000_000, "_sweep_backtrack",
      "satisfied", None, 224_656),
-    ("eps_fano-qb2", _eps_fano, make_qb(2), 50_000_000, "_sweep_grid",
-     "falsified", {"x1": 1, "x2": 449}, 209_764),
+    # x2 is pinned by x2 = x1*, so no unpinned tail is left for a grid
+    ("eps_fano-qb2", _eps_fano, make_qb(2), 50_000_000, "_sweep_backtrack",
+     "falsified", {"x1": 1, "x2": 449}, 4),
+    # the positive diagram pins every variable
+    ("b5-split1", lambda: make_bn(5), make_splitting_quasieq(1), 50_000_000,
+     "_sweep_backtrack", "falsified", {"x0": 0, "x1": 31, "x2": 32}, 3),
+    # nothing is pinned: the grid fills all 33^3 valuations
+    ("b5-distributive", lambda: make_bn(5), parse("x ^ (y v z) = (x ^ y) v (x ^ z)"),
+     50_000_000, "_sweep_grid", "satisfied", None, 35_937),
     # y has two pins; the first one, y* = x ^ x*, sets the count
     ("b4-first-pin", lambda: make_bn(4), parse("x ^ y = 0 & y* = x ^ x* & y = x* => y = x*"),
      17 ** 2 - 1, "_sweep_backtrack", "satisfied", None, 51),

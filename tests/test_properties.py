@@ -27,6 +27,7 @@ from palg import (
     validate_palgebra,
     variety_satisfies,
 )
+from palg import logic
 from palg.duality import enumerate_ppmorphisms
 from palg.free import _random_term
 from palg.logic import ONE, ZERO, _sweep_backtrack, _sweep_grid, variables_of
@@ -125,6 +126,30 @@ def test_sweep_engines_match_a_brute_force_oracle(seed):
             res = engine(a, q, names, 10 ** 7)
             assert res.status == ("satisfied" if expected is None else "falsified"), (a, q)
             assert res.falsifier == expected, (engine, a, q)
+
+
+@pytest.mark.parametrize("grid_min", [1, logic._GRID_MIN])
+@pytest.mark.parametrize("seed", range(3))
+def test_satisfies_matches_a_brute_force_oracle_at_any_budget(monkeypatch, seed, grid_min):
+    # at grid_min 1 every space within the budget goes to the grid, pinned
+    # variables in its lead; at the default the oracle's small spaces
+    # go to the level search
+    monkeypatch.setattr(logic, "_GRID_MIN", grid_min)
+    rng = random.Random(200 + seed)
+    for _ in range(40):
+        a = random_algebra(rng)
+        k = next(j for j in (3, 2, 1) if a.size ** j <= 3000 or j == 1)
+        q = random_pinning_quasiequation(rng, ["x", "y", "z"][:k])
+        names = variables_of(q)
+        expected = least_falsifier(a, q, names)
+        space = a.size ** len(names)
+        for budget in (rng.randrange(space), space, 10 ** 7):
+            res = satisfies(a, q, budget=budget)
+            if res.status == "inconclusive":
+                assert budget < space, (budget, a, q)
+                continue
+            assert res.status == ("satisfied" if expected is None else "falsified"), (a, q)
+            assert res.falsifier == expected, (budget, a, q)
 
 
 def test_random_algebras_validate():

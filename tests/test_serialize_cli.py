@@ -323,6 +323,7 @@ class TestCli:
     def test_numpy_is_loaded_only_by_a_grid_sweep(self, files, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
         b3, p13, e13 = files["bn3"], files["p13"], str(tmp_path / "e13.json")
+        b5, qb3 = str(tmp_path / "b5.json"), format_quasiequation(make_qb(3))
         commands = [["make", "p1", "3", "--out", str(tmp_path / "p.json")],
                     ["check", "palgebra", "--file", b3],
                     ["dual", "delta", b3, "--out", str(tmp_path / "d.json")],
@@ -331,7 +332,14 @@ class TestCli:
                     ["search", "embed", "--small", b3, "--big", e13],
                     ["search", "member", "--algebra", b3, "--gens", e13],
                     ["qb", "3"],
-                    ["check", "quasieq", "--algebra", b3, "--q", format_quasiequation(make_qb(3))]]
+                    # qb_3 pins its last variable, so these sweeps stay off the grid
+                    ["check", "quasieq", "--algebra", b3, "--q", qb3],
+                    ["check", "quasieq", "--algebra", e13, "--q", qb3],
+                    ["report", "thm16"],
+                    ["report", "lemma8"],
+                    ["make", "bn", "5", "--out", b5],
+                    # nothing is pinned: 33^3 valuations go to the grid
+                    ["check", "quasieq", "--algebra", b5, "--q", "x ^ (y ^ z) = (x ^ y) ^ z"]]
         # one cold process runs every command, reporting after each whether
         # numpy has been imported yet
         script = ("import contextlib, io, json, sys\n"
@@ -343,9 +351,9 @@ class TestCli:
         run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                              capture_output=True, text=True, env=env, timeout=120)
         rows = [json.loads(line) for line in run.stdout.splitlines()]
-        assert [code for code, _, _ in rows] == [0, 0, 0, 0, 0, 0, 0, 0, 1], run.stderr
-        assert [loaded for _, loaded, _ in rows] == [False] * 8 + [True]
-        assert rows[-1][2] == 'false\nfalsifier: {"x1": 1, "x2": 2, "x3": 4}\n'
+        assert [code for code, _, _ in rows] == [0] * 8 + [1, 1, 0, 0, 0, 0], run.stderr
+        assert [loaded for _, loaded, _ in rows] == [False] * 13 + [True]
+        assert rows[8][2] == 'false\nfalsifier: {"x1": 1, "x2": 2, "x3": 4}\n'
 
     def test_check_palgebra_keeps_the_size_cap(self, files, monkeypatch):
         monkeypatch.setattr(serialize, "MAX_ALGEBRA_SIZE", 3)
