@@ -50,6 +50,12 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INCONCLUSIVE = 4
+# the exit code of every verdict a command reports
+EXIT_BY_STATUS = {
+    "satisfied": EXIT_OK, "found": EXIT_OK, "yes": EXIT_OK,
+    "falsified": EXIT_FAIL, "none": EXIT_FAIL, "no": EXIT_FAIL,
+    "inconclusive": EXIT_INCONCLUSIVE,
+}
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -143,15 +149,10 @@ def _cmd_check(args) -> int:
         a = _load_algebra(args.algebra)
         q = _parse_quasieq(args)
         res = satisfies(a, q, budget=args.budget)
-        if res.status == "inconclusive":
-            print("inconclusive")
-            return EXIT_INCONCLUSIVE
-        if res.status == "satisfied":
-            print("true")
-            return EXIT_OK
-        print("false")
-        print("falsifier:", json.dumps(res.falsifier, sort_keys=True))
-        return EXIT_FAIL
+        print({"satisfied": "true", "falsified": "false"}.get(res.status, res.status))
+        if res.status == "falsified":
+            print("falsifier:", json.dumps(res.falsifier, sort_keys=True))
+        return EXIT_BY_STATUS[res.status]
     else:
         return EXIT_INPUT
     if args.json:
@@ -211,24 +212,21 @@ def _cmd_search(args) -> int:
         res = find_surjective_ppmorphism(src, dst, budget=args.budget)
         if res.status == "found":
             _emit(serialize.map_to_dict(res.witness.table), args.out)
-            return EXIT_OK
-        print(res.status)
-        return EXIT_FAIL if res.status == "none" else EXIT_INCONCLUSIVE
+        else:
+            print(res.status)
+        return EXIT_BY_STATUS[res.status]
     if args.kind in ("embed", "homs"):
         _need(args, "small", "big")
         small = _load_algebra(args.small)
         big = _load_algebra(args.big)
         find = enumerate_embeddings if args.kind == "embed" else enumerate_homomorphisms
         res = find(small, big, limit=args.limit, budget=args.budget)
-        if res.maps:
+        if res.status == "found":
             print(f"{len(res.maps)} found (complete={res.complete})")
             _emit(serialize.map_to_dict(res.maps[0].table), args.out)
-            return EXIT_OK
-        if res.complete:
-            print("none")
-            return EXIT_FAIL
-        print("inconclusive")
-        return EXIT_INCONCLUSIVE
+        else:
+            print(res.status)
+        return EXIT_BY_STATUS[res.status]
     if args.kind == "member":
         _use("duality")
         _need(args, "algebra")
@@ -238,8 +236,7 @@ def _cmd_search(args) -> int:
         print(res.status)
         if res.status == "yes":
             _emit(serialize.map_to_dict(res.witness.table), args.out)
-            return EXIT_OK
-        return EXIT_FAIL if res.status == "no" else EXIT_INCONCLUSIVE
+        return EXIT_BY_STATUS[res.status]
     return EXIT_INPUT
 
 

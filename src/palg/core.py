@@ -192,61 +192,40 @@ class AlgebraMap:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Maps found by a backtracking search.
+    """Maps found by a backtracking search: algebra maps, pp-maps or
+    quasigroup homomorphisms, by the enumerator.
 
     ``complete`` is False when the node budget ran out or the requested
     limit truncated the enumeration; an empty ``maps`` with
     ``complete=True`` is a proof that no map exists.
     """
 
-    maps: tuple[AlgebraMap, ...]
+    maps: tuple
     complete: bool
     nodes: int = 0
+
+    @property
+    def status(self) -> str:
+        """"found" if a map was found, else "none" when the search was
+        complete (a proof), else "inconclusive"."""
+        return "found" if self.maps else "none" if self.complete else "inconclusive"
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _first_mismatch2(lhs: np.ndarray, rhs: np.ndarray) -> tuple | None:
+def _first_mismatch(n: int, lhs, rhs) -> tuple | None:
+    """The first index, in row-major order, where the arrays ``lhs(xs)`` and
+    ``rhs(xs)`` differ: each side gives the law's values for a chunk ``xs``
+    of first arguments, chunked so that a 3-D side stays near 20M cells."""
     import numpy as np
-    bad = np.argwhere(lhs != rhs)
-    if len(bad) == 0:
-        return None
-    return tuple(int(v) for v in bad[0])
-
-
-def _first_assoc_violation(t: np.ndarray) -> tuple | None:
-    import numpy as np
-    # t[t[x,y],z] == t[x,t[y,z]], chunked over x to bound memory
-    n = len(t)
-    chunk = max(1, 20_000_000 // max(1, n * n))
-    zs = np.arange(n)
-    for x0 in range(0, n, chunk):
-        xs = np.arange(x0, min(n, x0 + chunk))
-        lhs = t[t[xs][:, :, None], zs[None, None, :]]
-        rhs = t[xs[:, None, None], t[None, :, :]]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            x, y, z = bad[0]
-            return (int(x) + x0, int(y), int(z))
-    return None
-
-
-def _first_distrib_violation(m: np.ndarray, j: np.ndarray) -> tuple | None:
-    import numpy as np
-    # m[x, j[y,z]] == j[m[x,y], m[x,z]]
-    n = len(m)
     chunk = max(1, 20_000_000 // max(1, n * n))
     for x0 in range(0, n, chunk):
         xs = np.arange(x0, min(n, x0 + chunk))
-        lhs = m[xs[:, None, None], j[None, :, :]]
-        mx = m[xs]
-        rhs = j[mx[:, :, None], mx[:, None, :]]
-        bad = np.argwhere(lhs != rhs)
+        bad = np.argwhere(lhs(xs) != rhs(xs))
         if len(bad):
-            x, y, z = bad[0]
-            return (int(x) + x0, int(y), int(z))
+            return (int(bad[0][0]) + x0, *map(int, bad[0][1:]))
     return None
 
 
@@ -312,39 +291,35 @@ def validate_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
 def _scan_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
     """Every p-algebra law by exhaustive numpy scan over in-range tables,
     each failure with its first witness tuple in row-major order."""
-    import numpy as np
-    n = candidate.size
+    n, zero, one = candidate.size, candidate.zero, candidate.one
     m, j, s = candidate.np_meet, candidate.np_join, candidate.np_star
-    xs = np.arange(n)
     viol: list[Violation] = []
 
-    def check2(law, lhs, rhs):
-        w = _first_mismatch2(lhs, rhs)
+    def check(law, lhs, rhs):
+        w = _first_mismatch(n, lhs, rhs)
         if w is not None:
             viol.append(Violation(law, w))
 
-    check2("meet commutative", m, m.T)
-    check2("join commutative", j, j.T)
-    check2("meet idempotent", np.diagonal(m), xs)
-    check2("join idempotent", np.diagonal(j), xs)
-    check2("absorption x ^ (x v y) = x", m[xs[:, None], j], np.broadcast_to(xs[:, None], (n, n)))
-    check2("absorption x v (x ^ y) = x", j[xs[:, None], m], np.broadcast_to(xs[:, None], (n, n)))
-    w = _first_assoc_violation(m)
-    if w:
-        viol.append(Violation("meet associative", w))
-    w = _first_assoc_violation(j)
-    if w:
-        viol.append(Violation("join associative", w))
-    w = _first_distrib_violation(m, j)
-    if w:
-        viol.append(Violation("distributive", w))
-    check2("0 is bottom", m[:, candidate.zero], np.full(n, candidate.zero))
-    check2("1 is top", j[:, candidate.one], np.full(n, candidate.one))
-    if s[candidate.one] != candidate.zero:
-        viol.append(Violation("1* = 0", (candidate.one,)))
-    if s[candidate.zero] != candidate.one:
-        viol.append(Violation("0* = 1", (candidate.zero,)))
-    check2("x ^ (x ^ y)* = x ^ y*", m[xs[:, None], s[m]], m[xs[:, None], s[None, :]])
+    check("meet commutative", lambda xs: m[xs], lambda xs: m.T[xs])
+    check("join commutative", lambda xs: j[xs], lambda xs: j.T[xs])
+    check("meet idempotent", lambda xs: m[xs, xs], lambda xs: xs)
+    check("join idempotent", lambda xs: j[xs, xs], lambda xs: xs)
+    check("absorption x ^ (x v y) = x", lambda xs: m[xs[:, None], j[xs]], lambda xs: xs[:, None])
+    check("absorption x v (x ^ y) = x", lambda xs: j[xs[:, None], m[xs]], lambda xs: xs[:, None])
+    # t[t[x,y],z] == t[x,t[y,z]] and m[x,j[y,z]] == j[m[x,y],m[x,z]]
+    # indexed so that both 3-D sides come out C-contiguous, which keeps ``!=`` fast
+    check("meet associative", lambda xs: m[m[xs]], lambda xs: m[xs[:, None, None], m])
+    check("join associative", lambda xs: j[j[xs]], lambda xs: j[xs[:, None, None], j])
+    check("distributive", lambda xs: m[xs[:, None, None], j],
+          lambda xs: j[m[xs][:, :, None], m[xs][:, None, :]])
+    check("0 is bottom", lambda xs: m[xs, zero], lambda xs: zero)
+    check("1 is top", lambda xs: j[xs, one], lambda xs: one)
+    if s[one] != zero:
+        viol.append(Violation("1* = 0", (one,)))
+    if s[zero] != one:
+        viol.append(Violation("0* = 1", (zero,)))
+    check("x ^ (x ^ y)* = x ^ y*", lambda xs: m[xs[:, None], s[m[xs]]],
+          lambda xs: m[xs[:, None], s[None, :]])
 
     return ValidationReport(ok=not viol, violations=tuple(viol))
 
@@ -583,11 +558,9 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra,
     if a.size != b.size:
         return False, None
     res = _map_search(a, b, injective=True, iso=True, limit=1, budget=budget)
-    if not res.complete and not res.maps:
+    if res.status == "inconclusive":
         raise ResourceLimitError("isomorphism search budget exhausted")
-    if res.maps:
-        return True, res.maps[0]
-    return False, None
+    return (True, res.maps[0]) if res.maps else (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -669,24 +642,12 @@ def _si_by_shape(a: FiniteAlgebra) -> bool:
     return star[zero] == one and star[one] == zero
 
 
-@dataclass(frozen=True)
-class SIReport:
-    via_congruences: bool
-    via_shape: bool
-
-
-def is_subdirectly_irreducible(a: FiniteAlgebra, diagnostics: bool = False):
-    """Subdirect irreducibility via the congruence monolith.
-
-    With ``diagnostics=True`` also runs the independent shape check and
-    raises :class:`InconsistentMethodsError` if the two verdicts differ,
-    returning an :class:`SIReport` otherwise.
-    """
-    verdict = _si_by_congruences(a)
-    if not diagnostics:
-        return verdict
-    shape = _si_by_shape(a)
+def is_subdirectly_irreducible(a: FiniteAlgebra) -> bool:
+    """Subdirect irreducibility via the congruence monolith, checked
+    against the independent shape test; raises
+    :class:`InconsistentMethodsError` if the two verdicts differ."""
+    verdict, shape = _si_by_congruences(a), _si_by_shape(a)
     if verdict != shape:
         raise InconsistentMethodsError(
             f"congruence method says {verdict}, shape method says {shape}")
-    return SIReport(verdict, shape)
+    return verdict

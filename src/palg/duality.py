@@ -16,6 +16,7 @@ from .core import (
     DEFAULT_SEARCH_BUDGET,
     MAX_ALGEBRA_SIZE,
     AlgebraMap,
+    EnumerationResult,
     FiniteAlgebra,
     ResourceLimitError,
     StructureError,
@@ -376,12 +377,12 @@ def find_surjective_ppmorphism(source: FinitePoset, target: FinitePoset,
 
 def enumerate_ppmorphisms(source: FinitePoset, target: FinitePoset,
                           limit: int | None = None,
-                          budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[list[PPMap], bool]:
-    """All pp-morphisms source -> target in lexicographic table order;
-    the flag reports whether the enumeration is complete."""
+                          budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
+    """All pp-morphisms source -> target in lexicographic table order."""
     search, tables = _pp_tables(source, target, 0, budget)
     found, complete = search.take(tables, limit)
-    return [PPMap(source, target, t) for t in found], complete
+    return EnumerationResult(tuple(PPMap(source, target, t) for t in found), complete,
+                             search.nodes)
 
 
 def epsilon_map(f: PPMap) -> AlgebraMap:

@@ -318,11 +318,9 @@ def cover_fixture_checks() -> CoverFixtureReport:
         a = epsilon(p)
         sizes.append(a.size)
         qb3.append(bool(satisfies(a, make_qb(3))))
-        emb3 = enumerate_embeddings(make_bn(3), a, limit=1)
-        qb3_emb.append(len(emb3.maps) == 0 and emb3.complete)
+        qb3_emb.append(enumerate_embeddings(make_bn(3), a, limit=1).status == "none")
         ib2.append(bool(satisfies(a, make_ib(2))))
-        emb2 = enumerate_embeddings(make_bn(2), a, limit=1)
-        bn2.append(len(emb2.maps) > 0)
+        bn2.append(enumerate_embeddings(make_bn(2), a, limit=1).status == "found")
     return CoverFixtureReport(
         tuple(p.size for p in COVER_POSETS), tuple(sizes), tuple(valid),
         tuple(qb3), tuple(qb3_emb), tuple(ib2), tuple(bn2))

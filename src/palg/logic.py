@@ -274,12 +274,6 @@ class SatisfactionResult:
     falsifier: dict[str, int] | None = None
     checked: int = 0
 
-    @property
-    def satisfied(self) -> bool | None:
-        if self.status == "inconclusive":
-            return None
-        return self.status == "satisfied"
-
     def __bool__(self) -> bool:
         return self.status == "satisfied"
 
@@ -609,12 +603,6 @@ class VarietyResult:
     status: str                      # "satisfied" | "falsified" | "inconclusive"
     counterexample_atoms: int | None = None
     falsifier: dict[str, int] | None = None
-
-    @property
-    def satisfied(self) -> bool | None:
-        if self.status == "inconclusive":
-            return None
-        return self.status == "satisfied"
 
     def __bool__(self) -> bool:
         return self.status == "satisfied"

@@ -84,11 +84,11 @@ def run_lemma7() -> dict:
         for label, a in lemma7_corpus():
             sat = satisfies(a, qb)
             emb = enumerate_embeddings(bn, a, limit=1)
-            if sat.status == "inconclusive" or not (emb.complete or emb.maps):
+            if "inconclusive" in (sat.status, emb.status):
                 mismatches.append(f"{label}: inconclusive")
                 continue
-            if bool(sat) != (len(emb.maps) == 0):
-                mismatches.append(f"{label}: qb{n}={bool(sat)} embeds={bool(emb.maps)}")
+            if bool(sat) != (emb.status == "none"):
+                mismatches.append(f"{label}: qb{n}={bool(sat)} embeds={emb.status == 'found'}")
         clauses.append(_clause(f"qb{n} iff no bn{n} embedding",
                                not mismatches, "; ".join(mismatches) or
                                f"{len(lemma7_corpus())} algebras agree"))

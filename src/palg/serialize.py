@@ -96,8 +96,14 @@ def map_to_dict(table) -> dict:
 
 
 def map_from_dict(data: dict) -> tuple[int, ...]:
+    """The file's image table, refused before any entry is read when it is
+    longer than the table budget."""
     with _malformed("map"):
-        return tuple(map(operator.index, data["table"]))
+        table = data["table"]
+        if len(table) > MAX_ALGEBRA_SIZE:
+            raise ResourceLimitError(f"map of {len(table)} entries exceeds the table budget "
+                                     f"{MAX_ALGEBRA_SIZE}")
+        return tuple(map(operator.index, table))
 
 
 def save_json(path: str | Path, data: dict) -> None:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -18,7 +20,13 @@ from palg import (
     trivial_algebra,
     validate_palgebra,
 )
-from palg.core import ResourceLimitError, _si_by_shape, close, principal_congruence
+from palg.core import (
+    ResourceLimitError,
+    _scan_palgebra,
+    _si_by_shape,
+    close,
+    principal_congruence,
+)
 from palg.duality import posets_up_to
 
 
@@ -149,6 +157,16 @@ class TestCertificate:
     def test_seeded_mutations(self, scan_agrees):
         reports = [scan_agrees(a) for a in mutants(2024, 300)]
         assert sum(not r.ok for r in reports) > 250
+
+    def test_scan_witnesses_are_pinned(self):
+        # sha256 of every (law, witness) the scan reports on the mutants,
+        # recorded while each 3-D law had its own chunked scan
+        rows = [[[v.law, list(v.witness)] for v in _scan_palgebra(a).violations]
+                for a in mutants(2024, 300)]
+        assert sum(map(len, rows)) == 1032
+        text = json.dumps(rows, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "bc039fdf24b407c3b90e67f74caa9f7dff92de5e4f71052bedd66f7019c284c2")
 
 
 class TestMakeBn:
@@ -307,7 +325,13 @@ class TestSubdirectIrreducibility:
                   three_chain_stone()]
         for a in corpus:
             if a.size <= 12:
-                is_subdirectly_irreducible(a, diagnostics=True)  # raises on mismatch
+                is_subdirectly_irreducible(a)  # raises on mismatch
+
+    def test_a_disagreement_between_the_routes_raises(self, bn, monkeypatch):
+        from palg import core
+        monkeypatch.setattr(core, "_si_by_shape", lambda a: False)
+        with pytest.raises(core.InconsistentMethodsError):
+            is_subdirectly_irreducible(bn[2])
 
     def test_shape_test_matches_the_leq_search_on_mutants(self):
         # the shape test as it read before it ran on the order masks: a

@@ -473,8 +473,8 @@ def test_surjection_iff_embedding_oracle():
 
 def test_ppmorphism_enumeration_matches_search():
     p = paste_w(4)
-    maps, complete = enumerate_ppmorphisms(p, make_p1(3))
-    assert complete
-    assert any(m.is_surjective() for m in maps)
-    for m in maps[:20]:
+    res = enumerate_ppmorphisms(p, make_p1(3))
+    assert res.complete
+    assert any(m.is_surjective() for m in res.maps)
+    for m in res.maps[:20]:
         assert validate_ppmap(m).ok

@@ -172,13 +172,13 @@ def test_surjective_search_matches_full_enumeration():
     pool = posets_up_to(4)
     for _ in range(60):
         s, t = rng.choice(pool), rng.choice(pool)
-        maps, complete = enumerate_ppmorphisms(s, t)
-        assert complete
-        any_surjective = any(m.is_surjective() for m in maps)
+        enum = enumerate_ppmorphisms(s, t)
+        assert enum.complete
+        any_surjective = any(m.is_surjective() for m in enum.maps)
         res = find_surjective_ppmorphism(s, t)
         assert (res.status == "found") == any_surjective, (s, t)
         if res.status == "found":
-            surjective_tables = sorted(m.table for m in maps if m.is_surjective())
+            surjective_tables = sorted(m.table for m in enum.maps if m.is_surjective())
             assert res.witness.table == surjective_tables[0]  # least witness
 
 

@@ -87,6 +87,20 @@ class TestPinnedNodeCounts:
                                         to_quasigroup(fano_system()))
         assert (len(res.maps), res.complete, res.nodes) == (7, True, 8_365)
 
+    def test_ppmorphism_enumeration_reports_its_nodes(self):
+        # the kernel stops at the first node past the budget
+        res = enumerate_ppmorphisms(paste_w(4), make_p1(3), budget=10)
+        assert (res.maps, res.complete, res.nodes, res.status) == ((), False, 11, "inconclusive")
+
+
+def test_enumeration_status_reads_maps_then_completeness():
+    point = all_posets(1)[0]
+    assert enumerate_ppmorphisms(point, point).status == "found"
+    assert enumerate_embeddings(make_bn(4), make_bn(3)).status == "none"
+    assert enumerate_embeddings(make_bn(1), make_bn(3), budget=0).status == "inconclusive"
+    # a truncated enumeration that found maps is still "found"
+    assert enumerate_homomorphisms(make_bn(1), make_bn(3), limit=1).status == "found"
+
 
 def _max_up(p, x):
     above = [y for y in range(p.size) if p.leq(x, y)]
@@ -114,9 +128,9 @@ def test_ppmorphisms_match_brute_force():
     pairs += [(rng.choice(four), rng.choice(four)) for _ in range(30)]
     for s, t in pairs:
         brute = _brute_ppmorphisms(s, t)
-        maps, complete = enumerate_ppmorphisms(s, t)
-        assert complete
-        assert [m.table for m in maps] == brute, (s, t)
+        res = enumerate_ppmorphisms(s, t)
+        assert res.complete
+        assert [m.table for m in res.maps] == brute, (s, t)
         surjective = [tab for tab in brute if set(tab) == set(range(t.size))]
         res = find_surjective_ppmorphism(s, t)
         assert res.status == ("found" if surjective else "none"), (s, t)
@@ -126,10 +140,10 @@ def test_ppmorphisms_match_brute_force():
 
 def test_reached_limit_marks_enumeration_incomplete():
     point = all_posets(1)[0]
-    maps, complete = enumerate_ppmorphisms(point, point)
-    assert len(maps) == 1 and complete
-    maps, complete = enumerate_ppmorphisms(point, point, limit=1)
-    assert len(maps) == 1 and not complete  # as enumerate_homomorphisms reports it
+    res = enumerate_ppmorphisms(point, point)
+    assert len(res.maps) == 1 and res.complete
+    res = enumerate_ppmorphisms(point, point, limit=1)
+    assert len(res.maps) == 1 and not res.complete  # as enumerate_homomorphisms reports it
 
 
 class TestPinnedPPEngine:
@@ -201,8 +215,8 @@ def test_pp_engine_matches_brute_force_on_larger_sources():
     for _ in range(20):
         s, t = _relabel(rng.choice(sources), rng), _relabel(rng.choice(targets), rng)
         brute = _brute_ppmorphisms(s, t)
-        maps, complete = enumerate_ppmorphisms(s, t)
-        assert complete and [m.table for m in maps] == brute, (s, t)
+        res = enumerate_ppmorphisms(s, t)
+        assert res.complete and [m.table for m in res.maps] == brute, (s, t)
         surjective = [tab for tab in brute if set(tab) == set(range(t.size))]
         res = find_surjective_ppmorphism(s, t)
         assert res.status == ("found" if surjective else "none"), (s, t)
