@@ -17,6 +17,7 @@ from .core import (
     FiniteAlgebra,
     ResourceLimitError,
     StructureError,
+    ValidationReport,
     enumerate_embeddings,
     enumerate_homomorphisms,
     is_isomorphic,
@@ -36,7 +37,7 @@ from .serialize import (
 # them, so that a cold process compiles no module its command does not use
 _use, __getattr__ = _lazy(globals(), {
     "duality": """FinitePoset PPMap delta epsilon find_surjective_ppmorphism finite_membership
-        posets_isomorphic validate_poset validate_ppmap""",
+        posets_isomorphic validate_ppmap""",
     "free": "build_free",
     "logic": "ONE Quasiequation format_quasiequation make_ib make_qb parse satisfies",
     "reports": "run_suite",
@@ -129,10 +130,9 @@ def _cmd_check(args) -> int:
         a = serialize.parse_algebra(load_json(args.file))
         rep = validate_palgebra(a)
     elif args.what == "poset":
-        _use("duality")
         _need(args, "file")
-        p = serialize.parse_poset(load_json(args.file))
-        rep = validate_poset(p)
+        serialize.poset_from_dict(load_json(args.file))
+        rep = ValidationReport(ok=True)  # a file that is not an order was refused above
     elif args.what == "ppmap":
         _use("duality")
         _need(args, "src", "dst", "map")

@@ -184,14 +184,15 @@ def upsets_of(p: FinitePoset, max_count: int | None = None) -> list[int]:
     return out
 
 
-def epsilon(x: FinitePoset, max_size: int = MAX_ALGEBRA_SIZE) -> FiniteAlgebra:
+def epsilon(x: FinitePoset) -> FiniteAlgebra:
     """Algebra of upsets of ``x``: meet/join are intersection/union and
     ``U*`` is the complement of the downset of ``U``.
 
     Elements are the upsets encoded as point bitsets, sorted ascending, so
-    zero is index 0 and one is the last index.
+    zero is index 0 and one is the last index.  More than
+    ``MAX_ALGEBRA_SIZE`` upsets raise :class:`ResourceLimitError`.
     """
-    return upset_algebra(upsets_of(x, max_size), x.down)
+    return upset_algebra(upsets_of(x, MAX_ALGEBRA_SIZE), x.down)
 
 
 def disjoint_union(parts: list[FinitePoset]) -> FinitePoset:
@@ -506,41 +507,38 @@ def finite_membership(a: FiniteAlgebra, generators: list[FiniteAlgebra],
 
     A pp-morphism on a disjoint union is exactly one pp-morphism per
     summand, so it suffices to know which target points each generator
-    dual can reach: per target point, search for a pp-morphism whose
-    image contains it.  At most one summand per point is needed, which
-    bounds the multiplicity of each generator by ``delta(a)``'s size.
-    The per-point searches share one ``budget`` of nodes, each getting
-    what the earlier ones left; "no" requires every search it rests on to
-    exhaust within it, and a spent budget ends the run "inconclusive".
+    dual can reach.  One pass walks the target points in ascending order
+    and skips a point that a summand chosen so far already covers; for
+    any other point it takes, from the first generator dual that has one,
+    the least pp-morphism whose image contains the point as the next
+    summand.  So there is at most one summand per point, which bounds the
+    multiplicity of each generator by ``delta(a)``'s size.  The searches
+    share one ``budget`` of nodes, each getting what the earlier ones
+    left; "no" requires every search it rests on to exhaust within it,
+    and a spent budget ends the run "inconclusive".
     """
     target, _ = delta(a)
     if target.size == 0:
         return MembershipResult("yes", PPMap(EMPTY_POSET, target, ()), ())
     duals = [delta(g)[0] for g in generators]
-    per_point: list[tuple[int, tuple[int, ...]] | None] = [None] * target.size
-    nodes = 0
+    chosen: list[tuple[int, tuple[int, ...]]] = []
+    covered = nodes = 0
     for t in range(target.size):
+        if (covered >> t) & 1:
+            continue
         for gi, d in enumerate(duals):
             status, table, used = _pp_search(d, target, 1 << t, budget - nodes)
             nodes += used
             if status == "found":
-                per_point[t] = (gi, table)
+                chosen.append((gi, table))
+                for v in table:
+                    covered |= 1 << v
                 break
             if status == "inconclusive":
                 return MembershipResult("inconclusive", None, (), nodes)
-        if per_point[t] is None:
+        else:
             # no generator dual reaches this point: proven non-member
             return MembershipResult("no", None, (), nodes)
-    # assemble the witness, dropping summands whose image is already covered
-    chosen: list[tuple[int, tuple[int, ...]]] = []
-    covered = 0
-    for t in range(target.size):
-        if (covered >> t) & 1:
-            continue
-        gi, table = per_point[t]
-        chosen.append((gi, table))
-        for v in table:
-            covered |= 1 << v
     union = disjoint_union([duals[gi] for gi, _ in chosen])
     table = tuple(v for _, tab in chosen for v in tab)
     return MembershipResult("yes", PPMap(union, target, table),

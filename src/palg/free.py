@@ -295,14 +295,20 @@ class CoverFixtureReport:
     poset_sizes: tuple[int, ...]
     algebra_sizes: tuple[int, ...]
     valid: tuple[bool, ...]
-    qb3: tuple[bool, ...]
-    qb3_by_embedding: tuple[bool, ...]
-    ib2: tuple[bool, ...]
-    bn2_embeds: tuple[bool, ...]
+    # None where a sweep or an embedding search ran out of budget
+    qb3: tuple[bool | None, ...]
+    qb3_by_embedding: tuple[bool | None, ...]
+    ib2: tuple[bool | None, ...]
+    bn2_embeds: tuple[bool | None, ...]
 
     @property
     def consistent(self) -> bool:
         return self.qb3 == self.qb3_by_embedding
+
+
+def _decided(status: str, yes: str) -> bool | None:
+    """Whether a verdict ``status`` is ``yes``; None when it is inconclusive."""
+    return None if status == "inconclusive" else status == yes
 
 
 def cover_fixture_checks() -> CoverFixtureReport:
@@ -317,10 +323,10 @@ def cover_fixture_checks() -> CoverFixtureReport:
         valid.append(bool(validate_poset(p)))
         a = epsilon(p)
         sizes.append(a.size)
-        qb3.append(bool(satisfies(a, make_qb(3))))
-        qb3_emb.append(enumerate_embeddings(make_bn(3), a, limit=1).status == "none")
-        ib2.append(bool(satisfies(a, make_ib(2))))
-        bn2.append(enumerate_embeddings(make_bn(2), a, limit=1).status == "found")
+        qb3.append(_decided(satisfies(a, make_qb(3)).status, "satisfied"))
+        qb3_emb.append(_decided(enumerate_embeddings(make_bn(3), a, limit=1).status, "none"))
+        ib2.append(_decided(satisfies(a, make_ib(2)).status, "satisfied"))
+        bn2.append(_decided(enumerate_embeddings(make_bn(2), a, limit=1).status, "found"))
     return CoverFixtureReport(
         tuple(p.size for p in COVER_POSETS), tuple(sizes), tuple(valid),
         tuple(qb3), tuple(qb3_emb), tuple(ib2), tuple(bn2))

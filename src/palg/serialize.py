@@ -1,8 +1,11 @@
 """JSON file formats and DOT emission.
 
 Algebras are stored with full tables; posets are stored as cover lists
-(small and human-editable) and closed transitively on load.  Loading
-validates, so a file that deserializes is a genuine p-algebra / poset.
+(small and human-editable).  A file that deserializes is a genuine
+p-algebra / poset, decided once per kind: an algebra's tables are checked
+by ``validate_palgebra``, and a poset's cover list is closed by
+``FinitePoset.from_covers``, which refuses a cycle and otherwise returns
+an order, so the poset is not scanned again.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .core import (
     FiniteAlgebra,
     ResourceLimitError,
     StructureError,
-    ValidationReport,
     covers,
     validate_palgebra,
 )
@@ -51,12 +53,6 @@ def _malformed(kind: str):
         raise StructureError(f"malformed {kind} file: {exc}") from exc
 
 
-def _require_valid(kind: str, report: ValidationReport) -> None:
-    if not report:
-        laws = ", ".join(v.law for v in report.violations)
-        raise StructureError(f"{kind} file violates: {laws}")
-
-
 def parse_algebra(data: dict) -> FiniteAlgebra:
     """The file's tables as a :class:`FiniteAlgebra`, shape-checked only."""
     with _malformed("algebra"):
@@ -66,7 +62,10 @@ def parse_algebra(data: dict) -> FiniteAlgebra:
 
 def algebra_from_dict(data: dict) -> FiniteAlgebra:
     a = parse_algebra(data)
-    _require_valid("algebra", validate_palgebra(a))
+    report = validate_palgebra(a)
+    if not report:
+        laws = ", ".join(v.law for v in report.violations)
+        raise StructureError(f"algebra file violates: {laws}")
     return a
 
 
@@ -74,21 +73,14 @@ def poset_to_dict(p: FinitePoset) -> dict:
     return {"size": p.size, "covers": [list(c) for c in p.covers()]}
 
 
-def parse_poset(data: dict) -> FinitePoset:
-    """The file's cover list, closed, with the laws not yet checked."""
+def poset_from_dict(data: dict) -> FinitePoset:
+    """The file's cover list, closed by ``from_covers``: a cyclic list is
+    refused there, and anything it returns is already an order."""
     from .duality import FinitePoset  # only posets need the duality module
 
     with _malformed("poset"):
         return FinitePoset.from_covers(declared_size(data),
                                        [tuple(map(operator.index, c)) for c in data["covers"]])
-
-
-def poset_from_dict(data: dict) -> FinitePoset:
-    from .duality import validate_poset
-
-    p = parse_poset(data)
-    _require_valid("poset", validate_poset(p))
-    return p
 
 
 def map_to_dict(table) -> dict:

@@ -198,3 +198,23 @@ class TestCoverFixtures:
         assert rep.bn2_embeds == (True, True, True)
         assert rep.consistent
         assert rep.algebra_sizes == cover_fixture_checks().algebra_sizes
+
+    def test_an_inconclusive_search_fails_its_stability_clause(self, monkeypatch):
+        # a search that ran out of budget is no verdict, not a disproof
+        from palg import free, reports
+        from palg.core import EnumerationResult
+        from palg.logic import SatisfactionResult
+
+        def passed():
+            return {c["id"]: c["passed"] for c in reports.run_covers()["clauses"]}
+
+        monkeypatch.setattr(free, "satisfies", lambda *a, **k: SatisfactionResult("inconclusive"))
+        assert cover_fixture_checks().ib2 == (None, None, None)
+        clauses = passed()
+        assert not clauses["ib2 verdicts stable"] and not clauses["qb3 verdicts stable"]
+        monkeypatch.undo()
+        monkeypatch.setattr(free, "enumerate_embeddings",
+                            lambda *a, **k: EnumerationResult((), False, 1))
+        assert cover_fixture_checks().bn2_embeds == (None, None, None)
+        clauses = passed()
+        assert not clauses["bn2 embeds in each"] and not clauses["qb3 agrees with embedding route"]

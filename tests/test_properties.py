@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palg import (
     Const,
@@ -28,7 +29,8 @@ from palg import (
     variety_satisfies,
 )
 from palg import logic
-from palg.duality import enumerate_ppmorphisms
+from palg.core import StructureError
+from palg.duality import FinitePoset, enumerate_ppmorphisms, validate_poset
 from palg.free import _random_term
 from palg.logic import ONE, ZERO, _sweep_backtrack, _sweep_grid, variables_of
 from palg.serialize import algebra_from_dict, algebra_to_dict
@@ -262,3 +264,42 @@ def test_delta_of_product_is_union_of_duals(bn):
     from palg import disjoint_union
     expected = disjoint_union([delta(bn[1])[0], delta(bn[2])[0]])
     assert posets_isomorphic(dp, expected)
+
+
+@st.composite
+def cover_lists(draw):
+    """A point count up to 10 and a list of pairs over it, self-loops and
+    duplicates included; about half the lists are oriented upward, so
+    that acyclic lists with many pairs are drawn as often as cyclic ones."""
+    n = draw(st.integers(0, 10))
+    if not n:
+        return 0, []
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    if draw(st.booleans()):
+        pairs = [(min(pair), max(pair)) for pair in pairs]
+    return n, pairs
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(cover_lists())
+def test_from_covers_closes_or_refuses_a_cycle(case):
+    """``from_covers`` refuses exactly the cover lists with a cycle through
+    two distinct points, and otherwise returns the reflexive-transitive
+    closure, which ``validate_poset`` accepts; so a loaded poset file needs
+    no second check."""
+    n, pairs = case
+    reach = [[x == y for y in range(n)] for x in range(n)]
+    for lo, hi in pairs:
+        reach[lo][hi] = True
+    for k in range(n):  # Warshall
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [r or s for r, s in zip(reach[i], reach[k])]
+    if any(reach[x][y] and reach[y][x] for x in range(n) for y in range(x)):
+        with pytest.raises(StructureError, match="cyclic"):
+            FinitePoset.from_covers(n, pairs)
+        return
+    p = FinitePoset.from_covers(n, pairs)
+    assert p.up == tuple(sum(1 << y for y in range(n) if reach[x][y]) for x in range(n))
+    assert validate_poset(p).ok

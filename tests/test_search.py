@@ -171,18 +171,18 @@ class TestPinnedPPEngine:
 
     def test_membership(self):
         res = finite_membership(epsilon(paste_w(3)), [make_bn(3)])
-        assert (res.status, res.summands, res.nodes) == ("yes", (0,) * 9, 862)
+        assert (res.status, res.summands, res.nodes) == ("yes", (0,) * 9, 631)
         assert res.witness.table == (0, 0, 0, 0, 0, 1, 2, 7, 0, 3, 4, 8, 0, 5, 6, 9, 1, 3,
                                      6, 10, 1, 4, 5, 11, 2, 3, 5, 12, 2, 4, 6, 13, 5, 6,
                                      14, 15)
 
 
 def test_membership_spends_one_budget():
-    """The per-point searches above take at most 391 nodes each and 862
+    """The per-point searches above take at most 391 nodes each and 631
     together: 500 covers every one of them but not their sum."""
     a, gens = epsilon(paste_w(3)), [make_bn(3)]
-    assert finite_membership(a, gens, budget=862).status == "yes"
-    for budget in (861, 500):
+    assert finite_membership(a, gens, budget=631).status == "yes"
+    for budget in (630, 500):
         res = finite_membership(a, gens, budget=budget)
         assert (res.status, res.witness, res.nodes) == ("inconclusive", None, budget + 1)
 

@@ -421,3 +421,47 @@ class TestCli:
         qf.write_text("x ^ (x ^ y)* = x ^ y*\n")
         assert main(["check", "quasieq", "--algebra", files["bn3"],
                      "--q-file", str(qf)]) == 0
+
+
+# each command's exit code and stdout on small poset files; the epsilon
+# algebra's JSON text is pinned by its sha256
+POSET_COMMANDS = [
+    (["check", "poset", "--file", "p13"], 0, "ok\n"),
+    (["check", "poset", "--file", "p13", "--json"], 0, '{"ok": true, "violations": []}\n'),
+    (["check", "poset", "--file", "cyclic"], 2, ""),
+    (["dual", "epsilon", "p13"], 0,
+     "sha256:3cffd4a786d5f6a0d29ab334802eca99f5be16d33c5ac919efb8e24a2a792e64"),
+    (["search", "ppmorph", "--src", "p13", "--dst", "p12"], 0,
+     '{\n "table": [\n  0,\n  0,\n  1,\n  2\n ]\n}\n'),
+    (["search", "ppmorph", "--src", "p12", "--dst", "p13"], 1, "none\n"),
+    (["check", "ppmap", "--src", "p13", "--dst", "p12", "--map", "onto"], 0, "ok\n"),
+    (["check", "ppmap", "--src", "p13", "--dst", "p12", "--map", "constant"], 0,
+     "valid pp-morphism (not surjective)\nok\n"),
+]
+
+
+def test_poset_loads_never_rescan(tmp_path, monkeypatch, capsys):
+    """A poset file is decided by ``from_covers`` alone: with
+    ``validate_poset`` unusable, every command that loads posets prints
+    what it printed while loads still ran it."""
+    from palg import duality
+
+    paths = {name: str(tmp_path / f"{name}.json") for name in
+             ("p12", "p13", "cyclic", "onto", "constant")}
+    assert main(["make", "p1", "2", "--out", paths["p12"]]) == 0
+    assert main(["make", "p1", "3", "--out", paths["p13"]]) == 0
+    serialize.save_json(paths["cyclic"], {"size": 2, "covers": [[0, 1], [1, 0]]})
+    serialize.save_json(paths["onto"], serialize.map_to_dict([0, 0, 1, 2]))
+    serialize.save_json(paths["constant"], serialize.map_to_dict([0, 0, 0, 0]))
+    capsys.readouterr()
+
+    def rescan(p):
+        raise AssertionError("a loaded poset was validated again")
+
+    monkeypatch.setattr(duality, "validate_poset", rescan)
+    for argv, code, expected in POSET_COMMANDS:
+        assert main([paths.get(a, a) for a in argv]) == code, argv
+        out = capsys.readouterr().out
+        if expected.startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        assert out == expected, argv
