@@ -179,25 +179,20 @@ def _parse_quasieq(args) -> Quasiequation:
 
 def _cmd_dual(args) -> int:
     _use("duality")
-    obj = load_object(args.file)
     if args.direction == "delta":
-        if not isinstance(obj, FiniteAlgebra):
-            print("delta expects an algebra file", file=sys.stderr)
-            return EXIT_INPUT
-        poset, labels = delta(obj)
+        a = _load_algebra(args.file)
+        poset, labels = delta(a)
         _emit(poset_to_dict(poset), args.out)
         if args.roundtrip:
-            ok = is_isomorphic(epsilon(poset), obj)[0]
+            ok = is_isomorphic(epsilon(poset), a)[0]
             print(f"roundtrip {'ok' if ok else 'FAILED'}")
             return EXIT_OK if ok else EXIT_FAIL
     else:
-        if not isinstance(obj, FinitePoset):
-            print("epsilon expects a poset file", file=sys.stderr)
-            return EXIT_INPUT
-        alg = epsilon(obj)
+        p = _load_poset(args.file)
+        alg = epsilon(p)
         _emit(algebra_to_dict(alg), args.out)
         if args.roundtrip:
-            ok = posets_isomorphic(delta(alg)[0], obj)
+            ok = posets_isomorphic(delta(alg)[0], p)
             print(f"roundtrip {'ok' if ok else 'FAILED'}")
             return EXIT_OK if ok else EXIT_FAIL
     return EXIT_OK

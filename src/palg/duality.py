@@ -47,22 +47,6 @@ class FinitePoset:
             raise StructureError("up-mask has bits beyond size")
 
     @classmethod
-    def from_matrix(cls, matrix) -> "FinitePoset":
-        """Build from a size x size boolean matrix with ``matrix[x][y]`` = (x <= y)."""
-        n = len(matrix)
-        masks = []
-        for x in range(n):
-            row = matrix[x]
-            if len(row) != n:
-                raise StructureError("matrix is not square")
-            m = 0
-            for y in range(n):
-                if row[y]:
-                    m |= 1 << y
-            masks.append(m)
-        return cls(n, tuple(masks))
-
-    @classmethod
     def from_covers(cls, size: int, covers) -> "FinitePoset":
         """Reflexive-transitive closure of a cover list; rejects cycles."""
         above: list[list[int]] = [[] for _ in range(size)]
@@ -92,9 +76,6 @@ class FinitePoset:
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self.up[x] >> y) & 1)
-
-    def matrix(self) -> list[list[bool]]:
-        return [[self.leq(x, y) for y in range(self.size)] for x in range(self.size)]
 
     @cached_property
     def down(self) -> tuple[int, ...]:

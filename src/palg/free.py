@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .core import (
     BITWISE_ROWS,
-    DEFAULT_SEARCH_BUDGET,
     FiniteAlgebra,
     InconsistentMethodsError,
     MAX_ALGEBRA_SIZE,
@@ -53,19 +52,9 @@ from .steiner import make_p1
 
 
 @dataclass(frozen=True)
-class AmbientFactor:
-    """One product coordinate: the factor's atom count and the element of
-    that factor each generator is evaluated at."""
-
-    atoms: int
-    generator_values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FreeAlgebraResult:
     algebra: FiniteAlgebra
     generators: tuple[int, ...]
-    ambient: tuple[AmbientFactor, ...]
 
 
 def _local_mask(j: int, element: int) -> int:
@@ -75,23 +64,25 @@ def _local_mask(j: int, element: int) -> int:
     return element if element < (1 << j) else (1 << (j + 1)) - 1
 
 
-def build_free(m: int, k: int, max_size: int = MAX_ALGEBRA_SIZE) -> FreeAlgebraResult:
+def build_free(m: int, k: int) -> FreeAlgebraResult:
     """Free algebra on ``k`` generators in the variety of the m-atom
     subdirectly irreducible (``m >= 2^k`` gives the free p-algebra).
 
     The result is canonically reindexed by (lattice height, lexicographic
     component vector); raises :class:`ResourceLimitError` with partial
-    stats when the closure exceeds ``max_size`` elements, or before any
-    work when the product has more than ``max_size`` coordinates.
+    stats when the closure exceeds ``MAX_ALGEBRA_SIZE`` elements, or before
+    any work when the product has more than ``MAX_ALGEBRA_SIZE`` coordinates.
     """
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
     coordinates = 0
     for j in range(min(m, 1 << k) + 1):
         # (2^j + 1)^k factors with j atoms; for a long k, 2^k alone passes the cap
-        coordinates += ((1 << j) + 1) ** k if k < max_size.bit_length() else max_size + 1
-        if coordinates > max_size:
-            raise ResourceLimitError(f"free algebra product passes the cap of {max_size} coordinates")
+        coordinates += (((1 << j) + 1) ** k if k < MAX_ALGEBRA_SIZE.bit_length()
+                        else MAX_ALGEBRA_SIZE + 1)
+        if coordinates > MAX_ALGEBRA_SIZE:
+            raise ResourceLimitError(
+                f"free algebra product passes the cap of {MAX_ALGEBRA_SIZE} coordinates")
     factors: list[tuple[int, tuple[int, ...], int]] = []  # (atoms, tuple, offset)
     downmask: list[int] = []  # the factors' dual fans side by side
     for j in range(min(m, 1 << k) + 1):
@@ -110,11 +101,11 @@ def build_free(m: int, k: int, max_size: int = MAX_ALGEBRA_SIZE) -> FreeAlgebraR
             g |= _local_mask(j, t[i]) << off
         gens.append(g)
 
-    elements = close({0, full, *gens}, (upset_star(downmask),), BITWISE_ROWS, max_size)
-    if len(elements) > max_size:
+    elements = close({0, full, *gens}, (upset_star(downmask),), BITWISE_ROWS, MAX_ALGEBRA_SIZE)
+    if len(elements) > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(
             f"free algebra closure passed {len(elements)} elements "
-            f"(cap {max_size}, {len(factors)} product coordinates)")
+            f"(cap {MAX_ALGEBRA_SIZE}, {len(factors)} product coordinates)")
 
     def components(u: int) -> tuple[int, ...]:
         # per-factor element index: a local mask inside the j maximals is
@@ -122,9 +113,7 @@ def build_free(m: int, k: int, max_size: int = MAX_ALGEBRA_SIZE) -> FreeAlgebraR
         return tuple(min((u >> off) & ((2 << j) - 1), 1 << j) for j, _t, off in factors)
 
     masks = sorted(elements, key=lambda u: (bin(u).count("1"), components(u)))
-    algebra = upset_algebra(masks, downmask)
-    ambient = tuple(AmbientFactor(j, t) for j, t, _ in factors)
-    return FreeAlgebraResult(algebra, tuple(map(masks.index, gens)), ambient)
+    return FreeAlgebraResult(upset_algebra(masks, downmask), tuple(map(masks.index, gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +122,6 @@ def build_free(m: int, k: int, max_size: int = MAX_ALGEBRA_SIZE) -> FreeAlgebraR
 
 @dataclass(frozen=True)
 class UnderEachReport:
-    m: int
-    k: int
     max_points: int
     missing_max_up_sets: tuple[tuple[int, ...], ...]       # clause (2)
     full_preimage_is_unique_bottom: bool | None            # clause (3)
@@ -170,14 +157,12 @@ def check_under_each(f: FreeAlgebraResult, m: int, k: int) -> UnderEachReport:
         clause4_ji = f.algebra.one in f.algebra.join_irreducibles
         clause4_stab = m == 1 << k or is_isomorphic(f.algebra, build_free(1 << k, k).algebra)[0]
     ok = clause1 and not missing and (not guard or (clause3 and clause4_ji and clause4_stab))
-    return UnderEachReport(m, k, len(maximal), tuple(missing),
+    return UnderEachReport(len(maximal), tuple(missing),
                            clause3, clause4_ji, clause4_stab, ok)
 
 
 @dataclass(frozen=True)
 class FreeQb3Report:
-    m: int
-    k: int
     status: str                    # "satisfied" | "falsified" | "inconclusive"
     sweep: SatisfactionResult
     pp_search_status: str
@@ -186,27 +171,25 @@ class FreeQb3Report:
         return self.status == "satisfied"
 
 
-def check_free_qb3(m: int, k: int, budget: int = DEFAULT_SEARCH_BUDGET,
-                   built: FreeAlgebraResult | None = None) -> FreeQb3Report:
+def check_free_qb3(m: int, k: int, built: FreeAlgebraResult | None = None) -> FreeQb3Report:
     """Two independent verdicts that the free algebra satisfies qb_3: the
     valuation sweep, and the absence of a surjective pp-morphism from its
-    dual onto the 3-fan.  Disagreement raises
-    :class:`InconsistentMethodsError`."""
+    dual onto the 3-fan, each under its own default budget.  Disagreement
+    raises :class:`InconsistentMethodsError`."""
     if m < 3 or k < 2:
         raise ValueError("the free-algebra qb_3 check needs m >= 3 and k >= 2")
     f = built if built is not None else build_free(m, k)
-    sweep = satisfies(f.algebra, make_qb(3), budget=budget)
+    sweep = satisfies(f.algebra, make_qb(3))
     poset, _ = delta(f.algebra)
-    pp = find_surjective_ppmorphism(poset, make_p1(3), budget=budget)
+    pp = find_surjective_ppmorphism(poset, make_p1(3))
     if sweep.status == "inconclusive" or pp.status == "inconclusive":
-        return FreeQb3Report(m, k, "inconclusive", sweep, pp.status)
+        return FreeQb3Report("inconclusive", sweep, pp.status)
     sweep_sat = sweep.status == "satisfied"
     pp_sat = pp.status == "none"
     if sweep_sat != pp_sat:
         raise InconsistentMethodsError(
             f"sweep says satisfied={sweep_sat} but pp-morphism search says {pp.status}")
-    return FreeQb3Report(m, k, "satisfied" if sweep_sat else "falsified",
-                         sweep, pp.status)
+    return FreeQb3Report("satisfied" if sweep_sat else "falsified", sweep, pp.status)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +227,6 @@ def random_special_quasiequation(rng: random.Random, nvars: int) -> Quasiequatio
 
 @dataclass(frozen=True)
 class StructuralReport:
-    nvars: int
     trials: int
     seed: int
     mismatches: tuple[str, ...]
@@ -252,10 +234,10 @@ class StructuralReport:
     ok: bool
 
 
-def check_special_structural(n: int, trials: int, seed: int = 2024,
-                             budget: int = DEFAULT_SEARCH_BUDGET) -> StructuralReport:
+def check_special_structural(n: int, trials: int, seed: int = 2024) -> StructuralReport:
     """Empirical check that special-form quasiequations hold in the free
-    algebra exactly when they hold in the whole variety."""
+    algebra exactly when they hold in the whole variety, each sweep under
+    its own default budget."""
     if n not in (1, 2):
         raise ValueError("only 1 or 2 generators are within the sweep budget")
     free = build_free(1 << n, n)
@@ -264,14 +246,14 @@ def check_special_structural(n: int, trials: int, seed: int = 2024,
     skipped = []
     for _ in range(trials):
         q = random_special_quasiequation(rng, n)
-        on_free = satisfies(free.algebra, q, budget=budget)
-        in_variety = variety_satisfies(q, budget=budget)
+        on_free = satisfies(free.algebra, q)
+        in_variety = variety_satisfies(q)
         if on_free.status == "inconclusive" or in_variety.status == "inconclusive":
             skipped.append(format_quasiequation(q))
             continue
         if bool(on_free) != bool(in_variety):
             mismatches.append(format_quasiequation(q))
-    return StructuralReport(n, trials, seed, tuple(mismatches), tuple(skipped),
+    return StructuralReport(trials, seed, tuple(mismatches), tuple(skipped),
                             ok=not mismatches)
 
 

@@ -442,9 +442,8 @@ def _level_search(prog: _Program, r: list, a: FiniteAlgebra, depth: int,
     return Backtrack(depth, expand, budget)
 
 
-def _sweep_backtrack(a: FiniteAlgebra, q: Quasiequation, names: list[str],
-                     budget: int | None, prog: _Program | None = None) -> SatisfactionResult:
-    prog = prog or _compile(q, names)
+def _sweep_backtrack(a: FiniteAlgebra, names: list[str], prog: _Program,
+                     budget: int | None) -> SatisfactionResult:
     meet, join, star = a.meet, a.join, a.star
     r = prog.registers(a)
     if not _run(prog.ground, r, meet, join, star):
@@ -457,13 +456,11 @@ def _sweep_backtrack(a: FiniteAlgebra, q: Quasiequation, names: list[str],
     return SatisfactionResult(status, None, search.nodes)
 
 
-def _sweep_grid(a: FiniteAlgebra, q: Quasiequation, names: list[str],
-                budget: int | None, prog: _Program | None = None) -> SatisfactionResult:
+def _sweep_grid(a: FiniteAlgebra, names: list[str], prog: _Program) -> SatisfactionResult:
     """Searches the lead variables, the last pinned one among them, and
     fills in the rest, up to ``_GRID_CELLS`` cells per lead assignment, as
-    numpy index grids; nothing counts against ``budget``."""
+    numpy index grids; the caller runs it only on a space within budget."""
     import numpy as np
-    prog = prog or _compile(q, names)
     n, k = a.size, len(names)
     g = 0
     while g < k - prog.pinned and n ** (g + 1) <= _GRID_CELLS:
@@ -518,8 +515,8 @@ def satisfies(a: FiniteAlgebra, q: Quasiequation,
     n, k = a.size, len(names)
     fits = n ** k <= budget
     if fits and n ** (k - prog.pinned) >= _GRID_MIN:
-        return _sweep_grid(a, q, names, budget, prog)
-    return _sweep_backtrack(a, q, names, None if fits else budget, prog)
+        return _sweep_grid(a, names, prog)
+    return _sweep_backtrack(a, names, prog, None if fits else budget)
 
 
 # ---------------------------------------------------------------------------

@@ -200,18 +200,19 @@ def run_thm13(expensive: bool = False) -> dict:
     return _suite("thm13", clauses)
 
 
-def run_thm16(trials: int = 200, expensive: bool = False) -> dict:
+def run_thm16(expensive: bool = False) -> dict:
     """Random special-form quasiequations in one variable hold in the free
     algebra exactly when they hold in the variety (with --expensive also a
     two-variable sample)."""
     _use("free")
+    trials = 200
     rep = check_special_structural(1, trials)
     detail = f"{trials} trials, seed {rep.seed}, {len(rep.skipped)} skipped"
     if rep.mismatches:
         detail += "; mismatches: " + "; ".join(rep.mismatches[:3])
     clauses = [_clause("free(1) and variety verdicts agree", rep.ok, detail)]
     if expensive:
-        rep2 = check_special_structural(2, max(1, trials // 8))
+        rep2 = check_special_structural(2, trials // 8)
         clauses.append(_clause(
             "free(2) and variety verdicts agree",
             rep2.ok, f"{rep2.trials} trials, {len(rep2.skipped)} skipped"))

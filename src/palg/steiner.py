@@ -9,6 +9,7 @@ lexicographically greatest points of the order-7 system.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +37,7 @@ class SteinerSystem:
     def __post_init__(self):
         object.__setattr__(
             self, "blocks",
-            tuple(sorted(tuple(sorted(int(p) for p in b)) for b in self.blocks)))
+            tuple(sorted(tuple(sorted(map(operator.index, b))) for b in self.blocks)))
         for b in self.blocks:
             if len(set(b)) != 3:
                 raise StructureError(f"block {b} is not a 3-element set")
@@ -53,7 +54,7 @@ class SteinerQuasigroup:
 
     def __post_init__(self):
         object.__setattr__(self, "mult",
-                           tuple(tuple(int(v) for v in row) for row in self.mult))
+                           tuple(tuple(map(operator.index, row)) for row in self.mult))
         if len(self.mult) != self.order or any(len(r) != self.order for r in self.mult):
             raise StructureError("multiplication table shape mismatch")
 
@@ -200,8 +201,7 @@ def is_planar(q: SteinerQuasigroup) -> bool:
 
 
 def enumerate_quasigroup_homs(source: SteinerQuasigroup, target: SteinerQuasigroup,
-                              budget: int = DEFAULT_SEARCH_BUDGET,
-                              limit: int | None = None) -> EnumerationResult:
+                              budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
     """All multiplication-preserving maps, sorted by image table.
 
     Backtracks over point images in index order; a point that is a product
@@ -211,7 +211,7 @@ def enumerate_quasigroup_homs(source: SteinerQuasigroup, target: SteinerQuasigro
     images = range(target.order)
     tables, complete, nodes = table_homs(
         source.order, [], [(source.mult, target.mult)], [], [images] * source.order,
-        limit=limit, budget=budget)
+        budget=budget)
     maps = tuple(_QuasigroupHom(source, target, t) for t in tables)
     return EnumerationResult(maps, complete, nodes)
 

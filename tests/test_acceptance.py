@@ -140,7 +140,7 @@ def test_criterion_07c_fano_target_as_stated():
 
 def test_criterion_08_thm16_structural_sample():
     t0 = time.time()
-    suite = reports.run_thm16(trials=200)
+    suite = reports.run_thm16()
     ok = suite["passed"] and (time.time() - t0) < 300
     assert _report(8, ok, _suite_detail(suite), t0)
 

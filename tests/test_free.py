@@ -56,14 +56,6 @@ class TestBuildFree:
         assert bool(satisfies(free1.algebra, make_ib(2)))
         assert bool(satisfies(build_free(1, 1).algebra, make_ib(1)))
 
-    def test_ambient_records_factor_tuples(self, free1):
-        atoms = [f.atoms for f in free1.ambient]
-        assert atoms == [0, 0, 1, 1, 1, 2, 2, 2, 2, 2]
-
-    def test_size_cap(self):
-        with pytest.raises(ResourceLimitError):
-            build_free(3, 2, max_size=100)
-
     @pytest.mark.parametrize("m,k,message", [
         # one closure round would collect about a million elements
         (1, 7, "closure passed"),
@@ -137,6 +129,31 @@ class TestFreeQb3:
             check_free_qb3(2, 2)
         with pytest.raises(ValueError):
             check_free_qb3(3, 1)
+
+    def test_checks_spend_each_engines_own_budget(self, monkeypatch, free32):
+        import inspect
+
+        import palg.free as free
+        from palg.core import DEFAULT_SEARCH_BUDGET, DEFAULT_SWEEP_BUDGET
+        expected = {"satisfies": DEFAULT_SWEEP_BUDGET,
+                    "variety_satisfies": DEFAULT_SWEEP_BUDGET,
+                    "find_surjective_ppmorphism": DEFAULT_SEARCH_BUDGET}
+        spent = []
+        for name in expected:
+            real = getattr(free, name)
+
+            def record(*args, name=name, real=real, **kwargs):
+                call = inspect.signature(real).bind(*args, **kwargs)
+                call.apply_defaults()
+                spent.append((name, call.arguments["budget"]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(free, name, record)
+        rep = check_free_qb3(3, 2, built=free32)
+        check_special_structural(1, 5)
+        assert {name for name, _ in spent} == set(expected)
+        assert all(budget == expected[name] for name, budget in spent), spent
+        # 625^3 valuations pass the sweep budget, so the level search decides qb_3
+        assert rep.sweep.checked == 395_969
 
     def test_sanity_negative_eps_fan3_fails_qb3(self):
         assert satisfies(epsilon(make_p1(3)), make_qb(3)).status == "falsified"

@@ -180,14 +180,15 @@ class TestSatisfies:
         assert bool(satisfies(bn[2], parse("0 = 1 => 1 = 0")))
 
     def test_backtracking_and_grid_engines_agree(self, bn):
-        from palg.logic import _sweep_backtrack, _sweep_grid, variables_of
+        from palg.logic import _compile, _sweep_backtrack, _sweep_grid, variables_of
         qs = [make_qb(2), make_ib(1), make_splitting_quasieq(1),
               parse("x* v x** = 1"), parse("x ^ y = 0 => x ^ y* = x")]
         for a in (bn[1], bn[2], epsilon(posets_up_to(3)[-1])):
             for q in qs:
                 names = variables_of(q)
-                r1 = _sweep_backtrack(a, q, names, 10 ** 7)
-                r2 = _sweep_grid(a, q, names, 10 ** 7)
+                prog = _compile(q, names)
+                r1 = _sweep_backtrack(a, names, prog, 10 ** 7)
+                r2 = _sweep_grid(a, names, prog)
                 assert r1.status == r2.status
                 assert r1.falsifier == r2.falsifier
 

@@ -32,7 +32,7 @@ from palg import logic
 from palg.core import StructureError
 from palg.duality import FinitePoset, enumerate_ppmorphisms, validate_poset
 from palg.free import _random_term
-from palg.logic import ONE, ZERO, _sweep_backtrack, _sweep_grid, variables_of
+from palg.logic import ONE, ZERO, _compile, _sweep_backtrack, _sweep_grid, variables_of
 from palg.serialize import algebra_from_dict, algebra_to_dict
 
 
@@ -65,8 +65,9 @@ def test_sweep_engines_agree_on_random_inputs(seed):
         a = random_algebra(rng)
         q = random_quasiequation(rng, ["x", "y"][: rng.randrange(1, 3)])
         names = variables_of(q)
-        r1 = _sweep_backtrack(a, q, names, 10 ** 7)
-        r2 = _sweep_grid(a, q, names, 10 ** 7)
+        prog = _compile(q, names)
+        r1 = _sweep_backtrack(a, names, prog, 10 ** 7)
+        r2 = _sweep_grid(a, names, prog)
         assert (r1.status, r1.falsifier) == (r2.status, r2.falsifier), (a, q)
 
 
@@ -124,8 +125,9 @@ def test_sweep_engines_match_a_brute_force_oracle(seed):
         q = random_pinning_quasiequation(rng, ["x", "y", "z"][:k])
         names = variables_of(q)
         expected = least_falsifier(a, q, names)
-        for engine in (_sweep_backtrack, _sweep_grid):
-            res = engine(a, q, names, 10 ** 7)
+        prog = _compile(q, names)
+        for engine, budget in ((_sweep_backtrack, (10 ** 7,)), (_sweep_grid, ())):
+            res = engine(a, names, prog, *budget)
             assert res.status == ("satisfied" if expected is None else "falsified"), (a, q)
             assert res.falsifier == expected, (engine, a, q)
 
@@ -221,9 +223,9 @@ def test_delta_epsilon_preserve_isomorphism():
         perm = list(range(p.size))
         rng.shuffle(perm)
         from palg import FinitePoset
-        q = FinitePoset.from_matrix(
-            [[p.leq(perm.index(x), perm.index(y)) for y in range(p.size)]
-             for x in range(p.size)])
+        q = FinitePoset(p.size, tuple(
+            sum(1 << y for y in range(p.size) if p.leq(perm.index(x), perm.index(y)))
+            for x in range(p.size)))
         assert posets_isomorphic(p, q)
         assert is_isomorphic(epsilon(p), epsilon(q))[0]
 

@@ -43,6 +43,13 @@ class TestConstruct:
         s = SteinerSystem(3, [(0, 1, 2)])
         assert validate_steiner(s).ok
 
+    def test_non_integers_are_refused_not_truncated(self):
+        # int() would turn these into a valid system and a table the caller never gave
+        with pytest.raises(TypeError):
+            SteinerSystem(3, [(0.9, 1, 2)])
+        with pytest.raises(TypeError):
+            SteinerQuasigroup(2, [[0, 1.7], [1, 1]])
+
 
 class TestQuasigroup:
     def test_first_fano_block_multiplication(self):
