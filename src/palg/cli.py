@@ -337,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
-        # the term parser and evaluator recurse, so deep input ends here
+        # the parser recurses into parentheses, so deeply nested input ends here
         print(f"resource limit: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
     except (StructureError, ValueError, OSError, KeyError) as exc:

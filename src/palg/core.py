@@ -2,9 +2,9 @@
 
 An algebra here is a bounded distributive lattice with a unary operation
 ``*`` satisfying ``1* = 0``, ``0* = 1`` and ``x ^ (x ^ y)* = x ^ y*``.
-Elements are dense indices ``0..size-1``; all tables are plain integer
-tables so that every law is decidable by exhaustive scan.  Values are
-immutable after construction and safe to share across threads.
+Elements are dense indices ``0..size-1``, and all tables are plain
+integer tables.  Values are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class FiniteAlgebra:
         """Lattice order: ``x <= y`` iff ``x ^ y = x``."""
         return self.meet[x][y] == x
 
-    # read-only numpy copies of the tables, for the grid sweep and the scan
+    # read-only numpy copies of the tables, for the grid sweep
     np_meet = cached_property(lambda self: _frozen_array(self.meet))
     np_join = cached_property(lambda self: _frozen_array(self.join))
     np_star = cached_property(lambda self: _frozen_array(self.star))
@@ -215,30 +215,26 @@ class EnumerationResult:
 # validation
 
 
-def _first_mismatch(n: int, lhs, rhs) -> tuple | None:
-    """The first index, in row-major order, where the arrays ``lhs(xs)`` and
-    ``rhs(xs)`` differ: each side gives the law's values for a chunk ``xs``
-    of first arguments, chunked so that a 3-D side stays near 20M cells."""
-    import numpy as np
-    chunk = max(1, 20_000_000 // max(1, n * n))
-    for x0 in range(0, n, chunk):
-        xs = np.arange(x0, min(n, x0 + chunk))
-        bad = np.argwhere(lhs(xs) != rhs(xs))
-        if len(bad):
-            return (int(bad[0][0]) + x0, *map(int, bad[0][1:]))
+def _first_diff(u, v) -> int:
+    """The first index at which the sequences ``u`` and ``v`` differ."""
+    return next(i for i, (p, q) in enumerate(zip(u, v)) if p != q)
+
+
+def _first_unsent(table, image, op) -> tuple[int, int] | None:
+    """The first ``(x, y)`` with ``x <= y``, in row-major order, where
+    ``image[table[x][y]] != op(image[x], image[y])``; None means all pairs
+    are sent when ``table`` and ``op`` commute."""
+    get = image.__getitem__
+    for x, row in enumerate(table):
+        got, want = list(map(get, row[x:])), list(map(partial(op, image[x]), image[x:]))
+        if got != want:
+            return x, x + _first_diff(got, want)
     return None
 
 
-def _sends(table, image, op) -> bool:
-    """Whether ``image[table[x][y]] == op(image[x], image[y])`` for all
-    ``x <= y``, which covers all pairs when ``table`` and ``op`` commute."""
-    get = image.__getitem__
-    return all(list(map(get, row[x:])) == list(map(partial(op, image[x]), image[x:]))
-               for x, row in enumerate(table))
-
-
-def _certified(a: FiniteAlgebra) -> bool:
-    """True iff ``a``, its entries in range, satisfies every p-algebra law,
+def _first_violation(a: FiniteAlgebra) -> Violation | None:
+    """The first p-algebra law that ``a``, its entries in range, breaks,
+    with its first witness in row-major order, or None if it breaks none;
     decided on the bitmask up- and down-sets in O(n^2) mask operations.
 
     With meet commutative and idempotent, ``x <= y`` iff ``x ^ y = x`` is
@@ -250,30 +246,41 @@ def _certified(a: FiniteAlgebra) -> bool:
     ``x v y`` the least upper bound and, by Birkhoff's theorem, the lattice
     distributive.  The star law is checked directly.
     """
-    n, meet, join, star = a.size, a.meet, a.join, a.star
-    if list(zip(*meet)) != list(meet) or list(zip(*join)) != list(join):
-        return False
-    if any(row[x] != x for x, row in enumerate(meet)):
-        return False
+    n, meet, join, star, zero, one = a.size, a.meet, a.join, a.star, a.zero, a.one
+    for law, table in (("meet commutative", meet), ("join commutative", join)):
+        for x, (row, col) in enumerate(zip(table, zip(*table))):
+            if row != col:
+                return Violation(law, (x, _first_diff(row, col)))
+    for x, row in enumerate(meet):
+        if row[x] != x:
+            return Violation("meet idempotent", (x,))
     up, down, full = a.up_masks, a.down_masks, (1 << n) - 1
-    if not _sends(meet, down, operator.and_):
-        return False
-    if up[a.zero] != full or down[a.one] != full or star[a.one] != a.zero or star[a.zero] != a.one:
-        return False
+    if w := _first_unsent(meet, down, operator.and_):
+        return Violation("down(x ^ y) = down(x) & down(y)", w)
+    for law, mask in (("0 is bottom", up[zero]), ("1 is top", down[one])):
+        if mask != full:
+            return Violation(law, (next(bits(full & ~mask)),))
+    if star[one] != zero:
+        return Violation("1* = 0", (one,))
+    if star[zero] != one:
+        return Violation("0* = 1", (zero,))
     ji = sum(1 << x for x in a.join_irreducibles)
-    if not _sends(join, [d & ji for d in down], operator.or_):
-        return False
-    return all(list(map(row.__getitem__, map(star.__getitem__, row))) == list(map(row.__getitem__, star))
-               for row in meet)
+    if w := _first_unsent(join, [d & ji for d in down], operator.or_):
+        return Violation("J(x v y) = J(x) | J(y)", w)
+    for x, row in enumerate(meet):
+        got = list(map(row.__getitem__, map(star.__getitem__, row)))
+        want = list(map(row.__getitem__, star))
+        if got != want:
+            return Violation("x ^ (x ^ y)* = x ^ y*", (x, _first_diff(got, want)))
+    return None
 
 
 def validate_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
     """Decide all p-algebra laws.
 
-    Raises :class:`StructureError` for out-of-range entries.  A valid
-    algebra is recognised by :func:`_certified`; otherwise the exhaustive
-    table scan reports each law failure with its first witness tuple in
-    row-major order.
+    Raises :class:`StructureError` for out-of-range entries.  Otherwise
+    reports the first check of :func:`_first_violation` that fails, with
+    its first witness in row-major order, or no violation at all.
     """
     n = candidate.size
     if n <= 0:
@@ -283,45 +290,8 @@ def validate_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
             raise StructureError(f"{name} table entry out of range")
     if not (0 <= candidate.zero < n and 0 <= candidate.one < n):
         raise StructureError("zero/one out of range")
-    if _certified(candidate):
-        return ValidationReport(ok=True)
-    return _scan_palgebra(candidate)
-
-
-def _scan_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
-    """Every p-algebra law by exhaustive numpy scan over in-range tables,
-    each failure with its first witness tuple in row-major order."""
-    n, zero, one = candidate.size, candidate.zero, candidate.one
-    m, j, s = candidate.np_meet, candidate.np_join, candidate.np_star
-    viol: list[Violation] = []
-
-    def check(law, lhs, rhs):
-        w = _first_mismatch(n, lhs, rhs)
-        if w is not None:
-            viol.append(Violation(law, w))
-
-    check("meet commutative", lambda xs: m[xs], lambda xs: m.T[xs])
-    check("join commutative", lambda xs: j[xs], lambda xs: j.T[xs])
-    check("meet idempotent", lambda xs: m[xs, xs], lambda xs: xs)
-    check("join idempotent", lambda xs: j[xs, xs], lambda xs: xs)
-    check("absorption x ^ (x v y) = x", lambda xs: m[xs[:, None], j[xs]], lambda xs: xs[:, None])
-    check("absorption x v (x ^ y) = x", lambda xs: j[xs[:, None], m[xs]], lambda xs: xs[:, None])
-    # t[t[x,y],z] == t[x,t[y,z]] and m[x,j[y,z]] == j[m[x,y],m[x,z]]
-    # indexed so that both 3-D sides come out C-contiguous, which keeps ``!=`` fast
-    check("meet associative", lambda xs: m[m[xs]], lambda xs: m[xs[:, None, None], m])
-    check("join associative", lambda xs: j[j[xs]], lambda xs: j[xs[:, None, None], j])
-    check("distributive", lambda xs: m[xs[:, None, None], j],
-          lambda xs: j[m[xs][:, :, None], m[xs][:, None, :]])
-    check("0 is bottom", lambda xs: m[xs, zero], lambda xs: zero)
-    check("1 is top", lambda xs: j[xs, one], lambda xs: one)
-    if s[one] != zero:
-        viol.append(Violation("1* = 0", (one,)))
-    if s[zero] != one:
-        viol.append(Violation("0* = 1", (zero,)))
-    check("x ^ (x ^ y)* = x ^ y*", lambda xs: m[xs[:, None], s[m[xs]]],
-          lambda xs: m[xs[:, None], s[None, :]])
-
-    return ValidationReport(ok=not viol, violations=tuple(viol))
+    v = _first_violation(candidate)
+    return ValidationReport(ok=v is None, violations=() if v is None else (v,))
 
 
 # ---------------------------------------------------------------------------

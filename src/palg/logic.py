@@ -224,20 +224,30 @@ def parse(text: str) -> Term | Quasiequation:
 _LEVEL_JOIN, _LEVEL_MEET, _LEVEL_STAR = 1, 2, 3
 
 
-def format_term(t: Term, level: int = 0) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return str(t.value)
-    if isinstance(t, Star):
-        return format_term(t.arg, _LEVEL_STAR) + "*"
-    if isinstance(t, Meet):
-        s = f"{format_term(t.left, _LEVEL_MEET + 1)} ^ {format_term(t.right, _LEVEL_MEET)}"
-        return f"({s})" if level > _LEVEL_MEET else s
-    if isinstance(t, Join):
-        s = f"{format_term(t.left, _LEVEL_JOIN + 1)} v {format_term(t.right, _LEVEL_JOIN)}"
-        return f"({s})" if level > _LEVEL_JOIN else s
-    raise TypeError(f"not a term: {t!r}")
+def format_term(t: Term) -> str:
+    """``t`` in the parser's syntax, parenthesised only where the grammar
+    needs it; built through an explicit stack, so a deep term prints."""
+    out: list[str] = []
+    todo: list = [(t, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, level = item
+        if isinstance(t, Var):
+            out.append(t.name)
+        elif isinstance(t, Const):
+            out.append(str(t.value))
+        elif isinstance(t, Star):
+            todo += ("*", (t.arg, _LEVEL_STAR))
+        elif isinstance(t, (Meet, Join)):
+            op, own = (" ^ ", _LEVEL_MEET) if isinstance(t, Meet) else (" v ", _LEVEL_JOIN)
+            paren = level > own
+            todo += [")"] * paren + [(t.right, own), op, (t.left, own + 1)] + ["("] * paren
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def format_quasiequation(q: Quasiequation) -> str:

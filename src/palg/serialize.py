@@ -64,8 +64,8 @@ def algebra_from_dict(data: dict) -> FiniteAlgebra:
     a = parse_algebra(data)
     report = validate_palgebra(a)
     if not report:
-        laws = ", ".join(v.law for v in report.violations)
-        raise StructureError(f"algebra file violates: {laws}")
+        (v,) = report.violations
+        raise StructureError(f"algebra file violates {v.law!r} witness {v.witness}")
     return a
 
 

@@ -26,13 +26,19 @@ def free32():
 
 @pytest.fixture(scope="session")
 def scan_agrees():
-    """Asserts that the certificate accepts ``a`` iff the exhaustive scan
-    finds no violation, and that validation returns the scan's report."""
-    from palg.core import _certified, _scan_palgebra, validate_palgebra
+    """Asserts that validation accepts ``a`` iff the exhaustive scan finds
+    no violation, and otherwise reports one violation whose witness breaks
+    the check it names, the scan's own witness where the scan names the
+    same law; returns the scan's report."""
+    from palg.core import validate_palgebra
+    from scan_oracle import _scan_palgebra, breaks
 
     def check(a):
-        scan = _scan_palgebra(a)
-        assert _certified(a) == scan.ok
-        assert validate_palgebra(a) == scan
+        scan, rep = _scan_palgebra(a), validate_palgebra(a)
+        assert rep.ok == scan.ok
+        if not rep.ok:
+            (v,) = rep.violations
+            assert breaks(a, v)
+            assert all(s.witness == v.witness for s in scan.violations if s.law == v.law)
         return scan
     return check

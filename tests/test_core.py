@@ -22,12 +22,12 @@ from palg import (
 )
 from palg.core import (
     ResourceLimitError,
-    _scan_palgebra,
     _si_by_shape,
     close,
     principal_congruence,
 )
 from palg.duality import posets_up_to
+from scan_oracle import _scan_palgebra
 
 
 def three_chain_stone():
@@ -111,9 +111,15 @@ def mutants(seed, count):
         yield FiniteAlgebra(n, meet, join, star, a.zero, a.one)
 
 
+def verdict(a):
+    """The one violation ``validate_palgebra`` reports, as ``(law, witness)``."""
+    (v,) = validate_palgebra(a).violations
+    return v.law, v.witness
+
+
 class TestCertificate:
-    """validate_palgebra accepts by a bitmask certificate and falls back to
-    the exhaustive scan; the scan is the oracle."""
+    """validate_palgebra decides by a bitmask certificate that reports the
+    first check a table fails; the exhaustive scan is the oracle."""
 
     def test_upset_algebras_of_random_posets(self, scan_agrees):
         rng = random.Random(7)
@@ -126,37 +132,47 @@ class TestCertificate:
         n5 = lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], [4, 3, 3, 2, 0])
         assert "distributive" in [v.law for v in scan_agrees(m3).violations]
         assert [v.law for v in scan_agrees(n5).violations] == ["distributive"]
+        assert verdict(m3) == ("J(x v y) = J(x) | J(y)", (1, 2))
+        assert verdict(n5) == ("J(x v y) = J(x) | J(y)", (1, 3))
 
     def test_wrong_star_and_swapped_bounds(self, bn, scan_agrees):
         a = bn[2]
         star = list(a.star)
         star[1] = 1
-        wrong = scan_agrees(FiniteAlgebra(a.size, a.meet, a.join, star, a.zero, a.one))
-        assert [v.law for v in wrong.violations] == ["x ^ (x ^ y)* = x ^ y*"]
-        swapped = scan_agrees(FiniteAlgebra(a.size, a.meet, a.join, a.star, a.one, a.zero))
-        assert [v.law for v in swapped.violations] == ["0 is bottom", "1 is top"]
+        wrong = FiniteAlgebra(a.size, a.meet, a.join, star, a.zero, a.one)
+        assert [v.law for v in scan_agrees(wrong).violations] == ["x ^ (x ^ y)* = x ^ y*"]
+        assert verdict(wrong) == ("x ^ (x ^ y)* = x ^ y*", (1, 3))
+        swapped = FiniteAlgebra(a.size, a.meet, a.join, a.star, a.one, a.zero)
+        assert [v.law for v in scan_agrees(swapped).violations] == ["0 is bottom", "1 is top"]
+        assert verdict(swapped) == ("0 is bottom", (0,))
 
     CHAIN = [[0, 0, 0], [0, 1, 1], [0, 1, 2]], [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
 
     # each breaks one check of the certificate and passes all the others
-    @pytest.mark.parametrize("args,laws", [
+    @pytest.mark.parametrize("args,laws,first", [
         ((4, [[0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 2], [0, 1, 2, 3]],
           [[0, 1, 1, 3], [1, 1, 1, 3], [1, 1, 1, 3], [3, 3, 3, 3]], [3, 0, 0, 0], 0, 3),
          ["meet idempotent", "join idempotent", "absorption x ^ (x v y) = x",
-          "absorption x v (x ^ y) = x", "distributive"]),
+          "absorption x v (x ^ y) = x", "distributive"], ("meet idempotent", (2,))),
         ((4, [[0, 0, 0, 0], [0, 1, 3, 1], [0, 3, 2, 2], [0, 1, 2, 3]],
           [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]], [3, 0, 0, 0], 0, 3),
-         ["absorption x v (x ^ y) = x", "meet associative", "distributive"]),
-        ((3, *CHAIN, [0, 2, 1], 1, 2), ["0 is bottom"]),
-        ((3, *CHAIN, [0, 0, 0], 0, 0), ["1 is top"]),
-        ((2, [[0, 0], [0, 1]], [[0, 1], [1, 1]], [1, 1], 0, 1), ["1* = 0"]),
+         ["absorption x v (x ^ y) = x", "meet associative", "distributive"],
+         ("down(x ^ y) = down(x) & down(y)", (1, 2))),
+        ((3, *CHAIN, [0, 2, 1], 1, 2), ["0 is bottom"], ("0 is bottom", (0,))),
+        ((3, *CHAIN, [0, 0, 0], 0, 0), ["1 is top"], ("1 is top", (1,))),
+        ((2, [[0, 0], [0, 1]], [[0, 1], [1, 1]], [1, 1], 0, 1), ["1* = 0"], ("1* = 0", (1,))),
     ], ids=["idempotent", "meet-glb", "bottom", "top", "one-star"])
-    def test_each_check_is_needed(self, scan_agrees, args, laws):
+    def test_each_check_is_needed(self, scan_agrees, args, laws, first):
         assert [v.law for v in scan_agrees(FiniteAlgebra(*args)).violations] == laws
+        assert verdict(FiniteAlgebra(*args)) == first
 
     def test_seeded_mutations(self, scan_agrees):
-        reports = [scan_agrees(a) for a in mutants(2024, 300)]
-        assert sum(not r.ok for r in reports) > 250
+        # scan_agrees checks each witness against its check and against the scan
+        scans = [scan_agrees(a) for a in mutants(2024, 300)]
+        laws = [verdict(a)[0] for a in mutants(2024, 300)]
+        assert not any(s.ok for s in scans)
+        # the other 89 name a check that the scan does not report for that table
+        assert sum(law in [v.law for v in s.violations] for s, law in zip(scans, laws)) == 211
 
     def test_scan_witnesses_are_pinned(self):
         # sha256 of every (law, witness) the scan reports on the mutants,

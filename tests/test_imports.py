@@ -76,16 +76,32 @@ def cli_files(tmp_path_factory):
     ("report lemma11", REPORT),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_each_cold_command_loads_only_what_it_runs(cli_files, argv, modules):
+    code, loaded, stderr = run_cold(cli_files(argv))
+    assert code in (0, 1), stderr
+    assert [m for m in loaded if m.split(".")[0] == "palg"] == sorted(modules)
+
+
+def test_rejecting_a_table_stays_off_numpy(cli_files, tmp_path):
+    data = json.loads(pathlib.Path(cli_files("b3")[0]).read_text())
+    data["star"][2] = 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, loaded, stderr = run_cold(["check", "palgebra", "--file", str(bad)])
+    assert code == 1, stderr
+    assert "numpy" not in loaded
+
+
+def run_cold(argv):
+    """The exit code of ``palg argv`` run in a fresh process, the sorted
+    names of the modules loaded by its end, and its stderr."""
     script = ("import contextlib, io, json, sys\n"
               "from palg.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(sys.argv[1:])\n"
-              "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'palg')]))\n")
-    run = subprocess.run([sys.executable, "-c", script, *cli_files(argv)], capture_output=True,
+              "print(json.dumps([code, sorted(sys.modules)]))\n")
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                          text=True, env=ENV, timeout=60)
-    code, loaded = json.loads(run.stdout)
-    assert code in (0, 1), run.stderr
-    assert loaded == sorted(modules)
+    return *json.loads(run.stdout), run.stderr
 
 
 # ---------------------------------------------------------------------------

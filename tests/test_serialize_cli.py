@@ -141,6 +141,22 @@ class TestCli:
         bad.write_text(json.dumps(data))
         assert main(["check", "palgebra", "--file", str(bad)]) == 1
 
+    def test_check_palgebra_reports_the_first_failing_check(self, tmp_path, free32, capsys):
+        data = algebra_to_dict(free32.algebra)
+        data["star"][5] = 212
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", "palgebra", "--file", str(bad), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "ok": False, "violations": [{"law": "x ^ (x ^ y)* = x ^ y*", "witness": [2, 5]}]}
+
+    def test_ib_500_prints(self, capsys):
+        # 501 summands deep: printing must not recurse (nor compare terms, as == would)
+        xs = [f"x{i}" for i in range(1, 502)]
+        summands = [f"({x} ^ {' ^ '.join(y + '*' for y in xs if y != x)})*" for x in xs]
+        assert main(["ib", "500"]) == 0
+        assert capsys.readouterr().out == " v ".join(summands) + " = 1\n"
+
     def test_check_quasieq_prints_falsifier(self, files, capsys):
         code = main(["check", "quasieq", "--algebra", files["bn3"],
                      "--q", "x1* = x2 v x3 & x2* = x1 v x3 & x3* = x1 v x2 => x1 v x2 v x3 = 1"])
