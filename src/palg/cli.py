@@ -248,9 +248,19 @@ def _cmd_report(args) -> int:
     return EXIT_OK if data["passed"] else EXIT_FAIL
 
 
+# the largest n of ``palg qb n`` and m of ``palg ib m`` that print, each
+# text at most 2,000,000 characters; a larger one is refused before any of
+# its O(n^2) term is built
+MAX_PRINTED = {"qb": 541, "ib": 505}
+
+
 def _cmd_print(args) -> int:
     _use("logic")
-    print(format_quasiequation(make_qb(args.n) if args.command == "qb" else make_ib(args.m)))
+    n = args.n if args.command == "qb" else args.m
+    if n > MAX_PRINTED[args.command]:
+        raise ResourceLimitError(f"{args.command} {n} is past the largest that prints, "
+                                 f"{MAX_PRINTED[args.command]}")
+    print(format_quasiequation(make_qb(n) if args.command == "qb" else make_ib(n)))
     return EXIT_OK
 
 

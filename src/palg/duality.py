@@ -257,62 +257,128 @@ class PPSearchResult:
         return self.status == "found"
 
 
+# the narrowing masks a pp search keeps for reuse, in bits; a mask past
+# this is built again at each node that needs it
+MAX_MASK_CACHE_BITS = 1 << 28
+
+
+def _spread(mask: int, width: int) -> int:
+    """``mask`` with bit ``j`` moved to bit ``j * width``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (low.bit_length() - 1) * width
+        mask ^= low
+    return out
+
+
 def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
     """The pp-morphism tables ``src -> dst`` whose image covers the
     ``required`` target mask, in lexicographic order, as ``(search,
     tables)``: backtracking over point images in index order with forward
-    checking; ``search.nodes`` and ``search.exhausted`` report the work."""
+    checking; ``search.nodes`` and ``search.exhausted`` report the work.
+
+    The domains of the points not yet placed live in one int: at the node
+    that places point ``i``, point ``i + j``'s target mask sits in the
+    ``nd + 1``-bit field at ``j * (nd + 1)``, whose top bit is a guard
+    that every state keeps set.  Fixing ``f(i) = t`` drops field 0 and
+    narrows every related later point with one AND, against a mask built
+    for ``(i, t)`` on first use and kept while the masks fit in
+    ``MAX_MASK_CACHE_BITS``.  Subtracting 1 from a field leaves its guard
+    set unless the field was empty, so the narrowed points all keep a
+    target iff ``(e - spread) & touched == touched``, where ``spread`` has
+    bit 0 of each narrowed field and ``touched`` its guard.
+    """
     ns, nd = src.size, dst.size
-    up_s = src.up
+    w = nd + 1
     mu_s, mu_d = src.max_up_masks, dst.max_up_masks
-    card_d = [m.bit_count() for m in mu_d]
-    # a point with k maximals above it can only land on a point with at
-    # most k maximals above it, since f maps max up(x) onto max up(f(x))
-    dom0 = [sum(1 << t for t in range(nd) if m.bit_count() >= card_d[t]) for m in mu_s]
-    # fixing f(i) = t narrows a later point y related to i to masks[t]:
-    # above i to up(t), below i to down(t), a maximal above i to max up(t)
-    # (inside up(t)); each node then touches only the points related to i
     up_d, down_d = dst.up, dst.down
-    forward: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(ns)]
-    for x in range(ns):
-        for y in bits(up_s[x] >> (x + 1)):
-            y += x + 1
-            forward[x].append((y, mu_d if (mu_s[x] >> y) & 1 else up_d))
-        for y in bits(up_s[x] & ((1 << x) - 1)):
-            forward[y].append((x, down_d))
+    field = (1 << nd) - 1
+    # a point with k maximals above it can only land on a point with at
+    # most k maximals above it, since f maps max up(x) onto max up(f(x)):
+    # fits[k] holds the targets with at most k maximals above them
+    card_d = [m.bit_count() for m in mu_d]
+    fits = [0] * (max(card_d, default=0) + 1)
+    for t, k in enumerate(card_d):
+        fits[k] |= 1 << t
+    for k in range(1, len(fits)):
+        fits[k] |= fits[k - 1]
+    widest = len(fits) - 1
+    dom0 = ((1 << ns * w) - 1) // ((1 << w) - 1) << nd  # every field's guard
+    for x, m in enumerate(mu_s):
+        dom0 |= fits[min(m.bit_count(), widest)] << x * w
+    # fixing f(i) = t narrows a later point y related to i: above i to
+    # up(t), below i to down(t), and a maximal above i also to max up(t);
+    # the lowest bits of the three sets' fields are spread when the
+    # search first places i, and the mask for (i, t), which keeps every
+    # bit but the targets it strikes from those fields, on first use; it
+    # is kept while ``room`` bits last
+    up_s, max_s = src.up, src.maximal_mask
+    narrow: list = [None] * ns
+    room = MAX_MASK_CACHE_BITS
+
+    def narrowing(i):
+        above = up_s[i] >> i + 1
+        top = _spread(above & max_s >> i + 1, w)
+        below = _spread(src.down[i] >> i + 1, w)  # built once a point is placed
+        spread = _spread(above, w) | below
+        return spread, spread << nd, top, below, [None] * nd
+
     # a maximal point must land on a maximal point; for a maximal y above i
     # and assigned before it, f(y) in max up(f(i)) then follows from f(i)
     # lying in down(f(y))
-    max_s, max_d = src.maximal_mask, dst.maximal_mask
+    max_d = dst.maximal_mask
     # forward checking keeps f(max up(x)) inside max up(f(x)), so a complete
     # assignment is a pp-morphism iff no point of max up(f(x)) is missed,
     # which only a point with two or more maximals above it can do
     max_lists = [(x, list(bits(m))) for x, m in enumerate(mu_s) if m & (m - 1)]
     required_pts = set(bits(required))
+    # doubling[j]: the shifts that fold 2^j fields onto the lowest one
+    doubling = [()]
+    for j in range(ns.bit_length()):
+        doubling.append(doubling[-1] + (w << j,))
 
     def expand(i, f, state):
-        dom, covered = state
-        # a required target still uncoverable by any remaining point is fatal
-        if required:
-            reach = covered
-            for m in dom[i:]:
-                reach |= m
-            if (reach & required) != required:
+        nonlocal room
+        d, covered = state
+        del state  # the frame lives as long as the node's children
+        dom = d & field
+        d >>= w
+        # a required target that no placed point covers and no remaining
+        # point can reach is fatal: fold the later fields, and dom, onto
+        # the lowest one by doubling shifts
+        need = required & ~covered
+        if need:
+            reach = d | dom
+            for shift in doubling[(ns - i - 1).bit_length()]:
+                reach |= reach >> shift
+            if reach & need != need:
                 return
-        maximal = (max_s >> i) & 1
-        for t in bits(dom[i]):
-            f[i] = t
-            if maximal and not (max_d >> t) & 1:
+            del reach
+        row = narrow[i]
+        if row is None:
+            row = narrow[i] = narrowing(i)
+        spread, touched, top, below, masks = row
+        off = dom & ~max_d if (max_s >> i) & 1 else 0  # each is a rejected node
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            f[i] = t = low.bit_length() - 1
+            if low & off:
                 yield None
-                continue
-            ndom = dom.copy()
-            for y, masks in forward[i]:
-                m = ndom[y] & masks[t]
-                if not m:
-                    ndom = None
-                    break
-                ndom[y] = m
-            yield None if ndom is None else (ndom, covered | (1 << t))
+            elif not touched:
+                yield d, covered | low
+            else:
+                mask = masks[t]
+                if mask is None:
+                    mask = (1 << (ns - i - 1) * w) - 1 ^ (
+                        (spread ^ below) * (field ^ up_d[t])
+                        | top * (field ^ mu_d[t]) | below * (field ^ down_d[t]))
+                    if mask.bit_length() <= room:
+                        masks[t] = mask
+                        room -= mask.bit_length()
+                e = d & mask
+                yield (e, covered | low) if (e - spread) & touched == touched else None
 
     search = Backtrack(ns, expand, budget)
 

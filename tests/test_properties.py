@@ -30,10 +30,11 @@ from palg import (
 )
 from palg import logic
 from palg.core import StructureError
-from palg.duality import FinitePoset, enumerate_ppmorphisms, validate_poset
+from palg.duality import FinitePoset, _pp_tables, enumerate_ppmorphisms, validate_poset
 from palg.free import _random_term
 from palg.logic import ONE, ZERO, _compile, _sweep_backtrack, _sweep_grid, variables_of
 from palg.serialize import algebra_from_dict, algebra_to_dict
+from pp_oracle import pp_tables
 
 
 def random_algebra(rng):
@@ -305,3 +306,36 @@ def test_from_covers_closes_or_refuses_a_cycle(case):
     p = FinitePoset.from_covers(n, pairs)
     assert p.up == tuple(sum(1 << y for y in range(n) if reach[x][y]) for x in range(n))
     assert validate_poset(p).ok
+
+
+@st.composite
+def pp_cases(draw):
+    """A source of at most 7 points onto a target of at most 6, each an
+    order on randomly numbered points, with a ``required`` target mask and
+    a budget that often runs out."""
+    def order(n):
+        if not n:
+            return FinitePoset(0, ())
+        perm = draw(st.permutations(range(n)))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+        return FinitePoset.from_covers(n, [(perm[min(p)], perm[max(p)]) for p in pairs])
+    src, dst = order(draw(st.integers(0, 7))), order(draw(st.integers(0, 6)))
+    required = draw(st.integers(0, (1 << dst.size) - 1))
+    budget = draw(st.one_of(st.integers(0, 60), st.just(10 ** 6)))
+    return src, dst, required, budget
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(pp_cases())
+def test_packed_pp_engine_walks_the_list_engines_tree(case):
+    """The packed-domain engine against the list-layout oracle: the same
+    first table at the same node count (what ``_pp_search`` reads), then
+    the same remaining tables, nodes and budget verdict."""
+    src, dst, required, budget = case
+    packed, tables = _pp_tables(src, dst, required, budget)
+    listed, oracle = pp_tables(src, dst, required, budget)
+    assert next(tables, None) == next(oracle, None)
+    assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
+    assert list(tables) == list(oracle)
+    assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)

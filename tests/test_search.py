@@ -4,6 +4,8 @@ pinned node counts, and a brute-force route for pp-morphisms."""
 import itertools
 import random
 
+import pytest
+
 from palg import (
     FinitePoset,
     all_posets,
@@ -25,8 +27,10 @@ from palg import (
     to_quasigroup,
     validate_ppmap,
 )
-from palg.duality import _pp_search, enumerate_ppmorphisms
+from palg import duality
+from palg.duality import _pp_search, _pp_tables, enumerate_ppmorphisms
 from palg.search import Backtrack, table_homs
+from pp_oracle import pp_tables
 
 
 def _expand_over(values, child):
@@ -63,6 +67,13 @@ class TestDeepInputs:
         res = find_surjective_ppmorphism(src, make_p1(2))
         assert res.status == "found"
         assert validate_ppmap(res.witness).ok
+
+    def test_pp_search_from_a_1000_point_chain(self):
+        # every chain point has one maximal above it and the 3-fan's bottom
+        # three, so the search ends before its first node; nothing is built
+        # per related pair of the chain first
+        res = find_surjective_ppmorphism(_chain(1000), make_p1(3))
+        assert (res.status, res.nodes) == ("none", 0)
 
     def test_isomorphism_of_b10(self):
         ok, witness = is_isomorphic(make_bn(10), make_bn(10))
@@ -185,6 +196,43 @@ def test_membership_spends_one_budget():
     for budget in (630, 500):
         res = finite_membership(a, gens, budget=budget)
         assert (res.status, res.witness, res.nodes) == ("inconclusive", None, budget + 1)
+
+
+def _chain(k):
+    return FinitePoset.from_covers(k, [(x, x + 1) for x in range(k - 1)])
+
+
+@pytest.mark.parametrize("cache_bits", [duality.MAX_MASK_CACHE_BITS, 0, 200],
+                         ids=["every mask", "no mask", "a few masks"])
+def test_packed_pp_engine_on_dense_orders(cache_bits, monkeypatch):
+    """Points related to many later points, against the list-layout
+    oracle, with a budget spent part way and one that suffices; with room
+    for every narrowing mask, for none and for a few (then the rest are
+    built again at each node)."""
+    monkeypatch.setattr(duality, "MAX_MASK_CACHE_BITS", cache_bits)
+    descending = FinitePoset.from_covers(12, [(x + 1, x) for x in range(11)])
+    bottom_first = FinitePoset.from_covers(10, [(0, x) for x in range(1, 10)])
+    top_first = FinitePoset.from_covers(10, [(x, 0) for x in range(1, 10)])
+    cases = [(_chain(12), _chain(3), 0b111), (descending, _chain(3), 0),
+             (bottom_first, make_p1(3), 0b1111), (bottom_first, make_p1(3), 0),
+             (top_first, _chain(3), 0),
+             (disjoint_union([make_p1(10), _chain(10)]), make_p1(2), 0b100)]
+    for src, dst, required in cases:
+        for budget in (40, 10 ** 6):
+            packed, tables = _pp_tables(src, dst, required, budget)
+            listed, oracle = pp_tables(src, dst, required, budget)
+            assert list(tables) == list(oracle)
+            assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
+
+
+def test_pp_search_of_a_130_point_chain_onto_itself():
+    # fields of 131 bits, one per target point and a guard
+    chain = _chain(130)
+    for budget in (500, 50_000):
+        packed, tables = _pp_tables(chain, chain, (1 << 130) - 1, budget)
+        listed, oracle = pp_tables(chain, chain, (1 << 130) - 1, budget)
+        assert next(tables, None) == next(oracle, None)
+        assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
 
 
 def _least_covering(tables, k):

@@ -269,6 +269,22 @@ class TestCli:
             assert "Traceback" not in run.stderr
         assert main(["check", "poset", "--file", str(huge)]) == 3
 
+    def test_qb_and_ib_past_the_print_cap_are_refused_before_building(self, capsys, monkeypatch):
+        assert main(["qb", "541"]) == 0
+        out = capsys.readouterr().out
+        assert 1_900_000 < len(out) <= 2_000_001 and out.startswith("x1* = x2 v x3 v ")
+
+        def unbuilt(n):
+            raise AssertionError(f"a term was built for {n}")
+
+        monkeypatch.setattr(cli, "make_qb", unbuilt)
+        monkeypatch.setattr(cli, "make_ib", unbuilt)
+        for command, n in (("qb", 542), ("ib", 506)):
+            assert main([command, str(n)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith("resource limit:")
+
     def test_input_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["check", "palgebra", "--file", str(missing)]) == 2

@@ -25,6 +25,7 @@ from palg import (
     validate_quasigroup,
     validate_steiner,
 )
+from palg.duality import enumerate_ppmorphisms
 
 
 class TestConstruct:
@@ -113,6 +114,29 @@ class TestHomEnumeration:
         q13 = to_quasigroup(construct_sts(13))
         res = enumerate_quasigroup_homs(q13, q13, budget=10)
         assert not res.complete
+
+
+class TestPPRoute:
+    """A pp-morphism P(S) -> P(T) is a quasigroup homomorphism on the
+    points (a block goes to a point or to the block of its images), and
+    points precede blocks in both posets, so the pp enumeration restricted
+    to the points lists the quasigroup homomorphisms in their order."""
+
+    @staticmethod
+    def check(s: int, t: int, count: int):
+        source, target = construct_sts(s), construct_sts(t)
+        pp = enumerate_ppmorphisms(poset_of(source), poset_of(target))
+        homs = enumerate_quasigroup_homs(to_quasigroup(source), to_quasigroup(target))
+        assert pp.complete and homs.complete
+        assert [m.table[:s] for m in pp.maps] == [h.table for h in homs.maps]
+        assert len(homs.maps) == count
+
+    def test_fano_onto_fano(self):
+        self.check(7, 7, 175)
+
+    @pytest.mark.expensive
+    def test_fano_into_order_9(self):
+        self.check(7, 9, 9)
 
 
 class TestPosets:
