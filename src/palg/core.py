@@ -460,15 +460,10 @@ def _unary_profile(a: FiniteAlgebra) -> list[tuple[bool, ...]]:
 
 def _iso_invariant(a: FiniteAlgebra) -> list[tuple]:
     # order-theoretic counts, preserved by isomorphisms only
-    ups, downs = a.up_masks, a.down_masks
     ji = set(a.join_irreducibles)
-    prof = _unary_profile(a)
-    out = []
-    for x in range(a.size):
-        above = bin(ups[x]).count("1")
-        below = bin(downs[x]).count("1")
-        out.append((prof[x], above, below, x in ji))
-    return out
+    rows = zip(_unary_profile(a), a.up_masks, a.down_masks)
+    return [(prof, up.bit_count(), down.bit_count(), x in ji)
+            for x, (prof, up, down) in enumerate(rows)]
 
 
 def _map_search(source: FiniteAlgebra, target: FiniteAlgebra, *,
@@ -483,17 +478,20 @@ def _map_search(source: FiniteAlgebra, target: FiniteAlgebra, *,
     n, m = source.size, target.size
     if injective and n > m:
         return EnumerationResult((), True, 0)
-    if iso:
-        sinv, tinv = _iso_invariant(source), _iso_invariant(target)
-        cands = [[u for u in range(m) if tinv[u] == sinv[x]] for x in range(n)]
+    profile = _iso_invariant if iso else _unary_profile
+    sprof, tprof = profile(source), profile(target)
+    # the target elements of each profile, ascending; an embedding keeps
+    # profiles, a homomorphism keeps each fact of the unary profile true
+    classes: dict[tuple, list[int]] = {}
+    for u, q in enumerate(tprof):
+        classes.setdefault(q, []).append(u)
+    if injective:
+        cands = [classes.get(p, []) for p in sprof]
     else:
-        sprof, tprof = _unary_profile(source), _unary_profile(target)
-        if injective:
-            cands = [[u for u in range(m) if tprof[u] == sprof[x]] for x in range(n)]
-        else:
-            cands = [[u for u in range(m)
-                      if all((not p) or q for p, q in zip(sprof[x], tprof[u]))]
-                     for x in range(n)]
+        admits = {p: sorted(u for q, us in classes.items()
+                            if all(not a or b for a, b in zip(p, q)) for u in us)
+                  for p in set(sprof)}
+        cands = [admits[p] for p in sprof]
     tables, complete, nodes = table_homs(
         n, [(source.star, target.star)],
         [(source.meet, target.meet), (source.join, target.join)],

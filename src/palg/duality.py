@@ -272,22 +272,27 @@ def _spread(mask: int, width: int) -> int:
     return out
 
 
-def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
-    """The pp-morphism tables ``src -> dst`` whose image covers the
-    ``required`` target mask, in lexicographic order, as ``(search,
-    tables)``: backtracking over point images in index order with forward
+def _pp_tables(src: FinitePoset, dst: FinitePoset):
+    """The pp-morphism engine for ``src -> dst``, built once per pair:
+    ``run(required, budget)`` returns ``(search, tables)`` for the tables
+    whose image covers the ``required`` target mask, in lexicographic
+    order, by backtracking over point images in index order with forward
     checking; ``search.nodes`` and ``search.exhausted`` report the work.
 
-    The domains of the points not yet placed live in one int: at the node
-    that places point ``i``, point ``i + j``'s target mask sits in the
-    ``nd + 1``-bit field at ``j * (nd + 1)``, whose top bit is a guard
+    A state is ``(d, need)``.  ``need`` holds the required targets that no
+    placed point covers yet: ``expand`` cuts a node whose domains cannot
+    reach them all, and at the last point rejects a value that leaves one
+    uncovered.  ``d`` holds the domains of the points not yet placed: at
+    the node that places point ``i``, point ``i + j``'s target mask sits in
+    the ``nd + 1``-bit field at ``j * (nd + 1)``, whose top bit is a guard
     that every state keeps set.  Fixing ``f(i) = t`` drops field 0 and
     narrows every related later point with one AND, against a mask built
-    for ``(i, t)`` on first use and kept while the masks fit in
-    ``MAX_MASK_CACHE_BITS``.  Subtracting 1 from a field leaves its guard
-    set unless the field was empty, so the narrowed points all keep a
-    target iff ``(e - spread) & touched == touched``, where ``spread`` has
-    bit 0 of each narrowed field and ``touched`` its guard.
+    for ``(i, t)`` on first use and kept, for every search of the engine,
+    while the masks fit in ``MAX_MASK_CACHE_BITS``.  Subtracting 1 from a
+    field leaves its guard set unless the field was empty, so the narrowed
+    points all keep a target iff ``(e - spread) & touched == touched``,
+    where ``spread`` has bit 0 of each narrowed field and ``touched`` its
+    guard.
     """
     ns, nd = src.size, dst.size
     w = nd + 1
@@ -332,25 +337,23 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
     # assignment is a pp-morphism iff no point of max up(f(x)) is missed,
     # which only a point with two or more maximals above it can do
     max_lists = [(x, list(bits(m))) for x, m in enumerate(mu_s) if m & (m - 1)]
-    required_pts = set(bits(required))
     # doubling[j]: the shifts that fold 2^j fields onto the lowest one
     doubling = [()]
     for j in range(ns.bit_length()):
         doubling.append(doubling[-1] + (w << j,))
+    last = ns - 1
 
     def expand(i, f, state):
         nonlocal room
-        d, covered = state
+        d, need = state
         del state  # the frame lives as long as the node's children
         dom = d & field
         d >>= w
-        # a required target that no placed point covers and no remaining
-        # point can reach is fatal: fold the later fields, and dom, onto
-        # the lowest one by doubling shifts
-        need = required & ~covered
+        # a required target that no remaining point can reach is fatal:
+        # fold the later fields, and dom, onto the lowest one by doubling
         if need:
             reach = d | dom
-            for shift in doubling[(ns - i - 1).bit_length()]:
+            for shift in doubling[(last - i).bit_length()]:
                 reach |= reach >> shift
             if reach & need != need:
                 return
@@ -367,25 +370,24 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
             if low & off:
                 yield None
             elif not touched:
-                yield d, covered | low
+                rest = need & ~low
+                yield None if rest and i == last else (d, rest)
             else:
                 mask = masks[t]
                 if mask is None:
-                    mask = (1 << (ns - i - 1) * w) - 1 ^ (
+                    mask = (1 << (last - i) * w) - 1 ^ (
                         (spread ^ below) * (field ^ up_d[t])
                         | top * (field ^ mu_d[t]) | below * (field ^ down_d[t]))
                     if mask.bit_length() <= room:
                         masks[t] = mask
                         room -= mask.bit_length()
                 e = d & mask
-                yield (e, covered | low) if (e - spread) & touched == touched else None
+                yield (e, need & ~low) if (e - spread) & touched == touched else None
 
-    search = Backtrack(ns, expand, budget)
-
-    def tables():
-        for f in search.solutions((dom0, 0)):
-            if not required_pts.issubset(f):
-                continue
+    def tables(search, required):
+        if required and not ns:
+            return
+        for f in search.solutions((dom0, required)):
             for x, ys in max_lists:
                 img = 0
                 for y in ys:
@@ -395,14 +397,17 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset, required: int, budget: int):
             else:
                 yield tuple(f)
 
-    return search, tables()
+    def run(required: int, budget: int):
+        search = Backtrack(ns, expand, budget)
+        return search, tables(search, required)
+
+    return run
 
 
-def _pp_search(src: FinitePoset, dst: FinitePoset, required: int,
-               budget: int) -> tuple[str, tuple[int, ...] | None, int]:
-    """The lexicographically least pp-morphism table whose image covers the
-    ``required`` target mask, as ``(status, table, nodes)``."""
-    search, tables = _pp_tables(src, dst, required, budget)
+def _pp_search(run, required: int, budget: int) -> tuple[str, tuple[int, ...] | None, int]:
+    """The lexicographically least table of the engine ``run`` whose image
+    covers the ``required`` target mask, as ``(status, table, nodes)``."""
+    search, tables = run(required, budget)
     table = next(tables, None)
     if table is not None:
         return "found", table, search.nodes
@@ -416,8 +421,8 @@ def find_surjective_ppmorphism(source: FinitePoset, target: FinitePoset,
     "none" is only reported when the backtracking exhausted within budget,
     so it is a proof of non-existence.
     """
-    required = (1 << target.size) - 1
-    status, table, nodes = _pp_search(source, target, required, budget)
+    status, table, nodes = _pp_search(_pp_tables(source, target),
+                                      (1 << target.size) - 1, budget)
     if status == "found":
         return PPSearchResult("found", PPMap(source, target, table), nodes)
     return PPSearchResult(status, None, nodes)
@@ -427,7 +432,7 @@ def enumerate_ppmorphisms(source: FinitePoset, target: FinitePoset,
                           limit: int | None = None,
                           budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
     """All pp-morphisms source -> target in lexicographic table order."""
-    search, tables = _pp_tables(source, target, 0, budget)
+    search, tables = _pp_tables(source, target)(0, budget)
     found, complete = search.take(tables, limit)
     return EnumerationResult(tuple(PPMap(source, target, t) for t in found), complete,
                              search.nodes)
@@ -436,18 +441,14 @@ def enumerate_ppmorphisms(source: FinitePoset, target: FinitePoset,
 def epsilon_map(f: PPMap) -> AlgebraMap:
     """The algebra homomorphism epsilon(target) -> epsilon(source) taking
     an upset to the upward closure of its preimage."""
-    ea = epsilon(f.target)
-    eb = epsilon(f.source)
-    src_ups = upsets_of(f.target)
-    tgt_index = {u: i for i, u in enumerate(upsets_of(f.source))}
-    table = []
-    for u in src_ups:
-        pre = 0
-        for x in range(f.source.size):
-            if (u >> f.table[x]) & 1:
-                pre |= 1 << x
-        table.append(tgt_index[pre])  # preimage of an upset is already an upset
-    return AlgebraMap(ea, eb, tuple(table))
+    src_ups = upsets_of(f.target, MAX_ALGEBRA_SIZE)
+    tgt_ups = upsets_of(f.source, MAX_ALGEBRA_SIZE)
+    tgt_index = {u: i for i, u in enumerate(tgt_ups)}
+    # the preimage of an upset is already an upset
+    table = tuple(tgt_index[sum(1 << x for x, v in enumerate(f.table) if (u >> v) & 1)]
+                  for u in src_ups)
+    return AlgebraMap(upset_algebra(src_ups, f.target.down),
+                      upset_algebra(tgt_ups, f.source.down), table)
 
 
 def delta_map(h: AlgebraMap) -> PPMap:
@@ -559,22 +560,24 @@ def finite_membership(a: FiniteAlgebra, generators: list[FiniteAlgebra],
     any other point it takes, from the first generator dual that has one,
     the least pp-morphism whose image contains the point as the next
     summand.  So there is at most one summand per point, which bounds the
-    multiplicity of each generator by ``delta(a)``'s size.  The searches
-    share one ``budget`` of nodes, each getting what the earlier ones
-    left; "no" requires every search it rests on to exhaust within it,
-    and a spent budget ends the run "inconclusive".
+    multiplicity of each generator by ``delta(a)``'s size.  Each generator
+    dual keeps one pp engine for the whole run.  The searches share one
+    ``budget`` of nodes, each getting what the earlier ones left; "no"
+    requires every search it rests on to exhaust within it, and a spent
+    budget ends the run "inconclusive".
     """
     target, _ = delta(a)
     if target.size == 0:
         return MembershipResult("yes", PPMap(EMPTY_POSET, target, ()), ())
     duals = [delta(g)[0] for g in generators]
+    engines = [_pp_tables(d, target) for d in duals]
     chosen: list[tuple[int, tuple[int, ...]]] = []
     covered = nodes = 0
     for t in range(target.size):
         if (covered >> t) & 1:
             continue
-        for gi, d in enumerate(duals):
-            status, table, used = _pp_search(d, target, 1 << t, budget - nodes)
+        for gi, run in enumerate(engines):
+            status, table, used = _pp_search(run, 1 << t, budget - nodes)
             nodes += used
             if status == "found":
                 chosen.append((gi, table))

@@ -29,10 +29,11 @@ from .core import (
     close,
     is_isomorphic,
     enumerate_embeddings,
+    make_bn,
     upset_algebra,
     upset_star,
 )
-from .duality import FinitePoset, delta, find_surjective_ppmorphism, epsilon
+from .duality import FinitePoset, delta, find_surjective_ppmorphism, epsilon, validate_poset
 from .logic import (
     Const,
     Join,
@@ -296,9 +297,6 @@ def _decided(status: str, yes: str) -> bool | None:
 def cover_fixture_checks() -> CoverFixtureReport:
     """Validation plus qb_3 / ib_2 verdicts for the three cover-candidate
     posets; the verdicts are reported, no covering claim is decided."""
-    from .core import make_bn
-    from .duality import validate_poset
-
     valid, qb3, qb3_emb, ib2, bn2 = [], [], [], [], []
     sizes = []
     for p in COVER_POSETS:

@@ -18,13 +18,14 @@ the kernel, shared by algebra and quasigroup homomorphism searches; the
 pp-morphism search, poset isomorphism and both quasiequation sweeps
 (through ``logic._level_search``) run on it too.
 
-A state is whatever its engine needs.  The pp-morphism search
-(``duality._pp_tables``) packs the remaining targets of every point not
-yet placed into one int, one ``nd + 1``-bit field per point, the next
-point's lowest, with a guard bit on top of each, so that placing a point
-narrows all the points related to it with one AND against a cached mask;
-a field left empty shows as a cleared guard once 1 is subtracted from
-it.
+A state is whatever its engine needs.  The pp-morphism engine
+(``duality._pp_tables``, one per source and target) packs the remaining
+targets of every point not yet placed into one int, one ``nd + 1``-bit
+field per point, the next point's lowest, with a guard bit on top of
+each, so that placing a point narrows all the points related to it with
+one AND against a cached mask; a field left empty shows as a cleared
+guard once 1 is subtracted from it.  Beside it sits the mask of the
+required targets that no placed point covers yet.
 """
 
 from __future__ import annotations

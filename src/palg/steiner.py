@@ -23,7 +23,7 @@ from .core import (
     Violation,
     close,
 )
-from .duality import FinitePoset
+from .duality import FinitePoset, PPMap
 from .search import table_homs
 
 
@@ -288,8 +288,6 @@ def collapse_pasting(m: int):
     """The surjective pp-morphism from the pasted poset onto the
     (m-1)-fan: the whole triple-system part lands on the first maximal,
     the fresh maximals shift down one slot, bottom goes to bottom."""
-    from .duality import PPMap
-
     src = paste_w(m)
     dst = make_p1(m - 1)
     table = [0] * src.size

@@ -1,11 +1,14 @@
-"""The list-layout pp-morphism search, kept as the oracle for
-``palg.duality._pp_tables``.
+"""The list-layout pp-morphism search, kept as the oracle for the engines
+that ``palg.duality._pp_tables`` builds.
 
 Each node copies a list of per-point target masks and narrows the points
 related to the one just placed, one pair at a time, from ``forward`` lists
-built for every related pair of the source before the first node.  The
-packed engine must visit exactly this tree: the same tables, in the same
-order, at the same node counts, with the same budget semantics.
+built for every related pair of the source before the first node, and a
+finished table that misses a required target is dropped by a filter at
+the leaf.  The packed engine decides the requirement in its search state
+instead, rejecting such a value as it places the last point; that is one
+node either way, so it must visit exactly this tree: the same tables, in
+the same order, at the same node counts, with the same budget semantics.
 """
 
 from palg.core import bits
@@ -13,7 +16,8 @@ from palg.search import Backtrack
 
 
 def pp_tables(src, dst, required: int, budget: int):
-    """``(search, tables)`` as ``palg.duality._pp_tables`` returns them."""
+    """``(search, tables)`` as ``palg.duality._pp_tables(src, dst)(required,
+    budget)`` returns them."""
     ns, nd = src.size, dst.size
     up_s = src.up
     mu_s, mu_d = src.max_up_masks, dst.max_up_masks

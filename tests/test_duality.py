@@ -34,6 +34,7 @@ from palg import (
     validate_poset,
     validate_ppmap,
 )
+from palg import duality
 from palg.core import covers, transpose
 from palg.duality import _profile, enumerate_ppmorphisms
 from palg.steiner import collapse_pasting, construct_sts, fano_system, paste_w, poset_of
@@ -314,6 +315,37 @@ class TestMembership:
             member = finite_membership(a, [g])
             assert (direct.status == "found") == (member.status == "yes")
 
+    def test_membership_results_are_pinned(self):
+        """sha256 of ``(status, witness table, summands, nodes)`` over 1192
+        calls, as recorded before membership kept one pp engine per
+        generator dual: eps(P) in Q(eps(Q)) for every pair of nonempty
+        posets of at most 4 points, then the first 20 of those algebras
+        against the first 6 together, each at budgets 10^7 and 40 (the
+        smaller one runs out on 15 of the pairs)."""
+        algebras = [epsilon(p) for p in posets_up_to(4) if p.size]
+        cases = [(a, [g]) for a in algebras for g in algebras]
+        cases += [(a, algebras[:6]) for a in algebras[:20]]
+        digest = hashlib.sha256()
+        for a, gens in cases:
+            for budget in (10 ** 7, 40):
+                res = finite_membership(a, gens, budget=budget)
+                table = None if res.witness is None else res.witness.table
+                digest.update(repr((res.status, table, res.summands, res.nodes)).encode())
+        assert len(cases) * 2 == 1192
+        assert digest.hexdigest() == (
+            "f450ffb4b5f714f7b7d35db22c159636df4fe83078c6b45be7902f3429adc895")
+
+    def test_membership_builds_one_pp_engine_per_generator_dual(self, bn, monkeypatch):
+        # eps(W3) in Q(B3, B2) takes several summands, each found by a search
+        # of the first generator's engine
+        built = []
+        real = duality._pp_tables
+        monkeypatch.setattr(duality, "_pp_tables",
+                            lambda src, *rest: built.append(src) or real(src, *rest))
+        res = finite_membership(epsilon(paste_w(3)), [bn[3], bn[2]])
+        assert res.status == "yes" and len(res.summands) > 1
+        assert built == [delta(bn[3])[0], delta(bn[2])[0]]
+
 
 class TestRoundTrips:
     def test_algebra_round_trip(self, bn, free1):
@@ -348,6 +380,20 @@ class TestFunctors:
         fe, ge = epsilon_map(f), epsilon_map(g)
         composed = tuple(fe.table[v] for v in ge.table)
         assert left.table == composed
+
+    def test_epsilon_map_enumerates_each_upset_list_once(self, monkeypatch):
+        calls = []
+        real = duality.upsets_of
+        monkeypatch.setattr(duality, "upsets_of",
+                            lambda *args: calls.append(args[0]) or real(*args))
+        f = collapse_pasting(4)
+        assert epsilon_map(f).is_embedding()
+        assert calls == [f.target, f.source]
+
+    def test_epsilon_map_refuses_a_source_past_the_table_budget(self):
+        antichain = FinitePoset(3000, tuple(1 << x for x in range(3000)))
+        with pytest.raises(ResourceLimitError):
+            epsilon_map(PPMap(antichain, FinitePoset(1, (1,)), (0,) * 3000))
 
     def test_delta_map_dualizes_inclusion(self, bn):
         emb = enumerate_embeddings(bn[1], bn[2], limit=1).maps[0]

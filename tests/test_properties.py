@@ -333,7 +333,7 @@ def test_packed_pp_engine_walks_the_list_engines_tree(case):
     first table at the same node count (what ``_pp_search`` reads), then
     the same remaining tables, nodes and budget verdict."""
     src, dst, required, budget = case
-    packed, tables = _pp_tables(src, dst, required, budget)
+    packed, tables = _pp_tables(src, dst)(required, budget)
     listed, oracle = pp_tables(src, dst, required, budget)
     assert next(tables, None) == next(oracle, None)
     assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)

@@ -219,7 +219,7 @@ def test_packed_pp_engine_on_dense_orders(cache_bits, monkeypatch):
              (disjoint_union([make_p1(10), _chain(10)]), make_p1(2), 0b100)]
     for src, dst, required in cases:
         for budget in (40, 10 ** 6):
-            packed, tables = _pp_tables(src, dst, required, budget)
+            packed, tables = _pp_tables(src, dst)(required, budget)
             listed, oracle = pp_tables(src, dst, required, budget)
             assert list(tables) == list(oracle)
             assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
@@ -229,7 +229,7 @@ def test_pp_search_of_a_130_point_chain_onto_itself():
     # fields of 131 bits, one per target point and a guard
     chain = _chain(130)
     for budget in (500, 50_000):
-        packed, tables = _pp_tables(chain, chain, (1 << 130) - 1, budget)
+        packed, tables = _pp_tables(chain, chain)((1 << 130) - 1, budget)
         listed, oracle = pp_tables(chain, chain, (1 << 130) - 1, budget)
         assert next(tables, None) == next(oracle, None)
         assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
@@ -271,7 +271,7 @@ def test_pp_engine_matches_brute_force_on_larger_sources():
         assert res.witness is None or res.witness.table == surjective[0]
         nodes += res.nodes
         for k in range(t.size):
-            status, table, used = _pp_search(s, t, 1 << k, 10_000)
+            status, table, used = _pp_search(_pp_tables(s, t), 1 << k, 10_000)
             least = _least_covering(brute, k)
             assert (status, table) == (("found", least) if least else ("none", None)), (s, t, k)
             nodes += used
