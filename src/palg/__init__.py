@@ -13,7 +13,7 @@ _EXPORTS = {
         ResourceLimitError StructureError ValidationReport Violation enumerate_embeddings
         enumerate_homomorphisms generated_subalgebra is_isomorphic is_subdirectly_irreducible
         make_bn principal_congruence product trivial_algebra validate_palgebra""",
-    "duality": """EMPTY_POSET FinitePoset MembershipResult PPMap PPSearchResult all_posets
+    "duality": """EMPTY_POSET FinitePoset MembershipResult PPMap all_posets
         compose_ppmaps delta delta_map disjoint_union epsilon epsilon_map
         find_surjective_ppmorphism finite_membership max_up posets_isomorphic posets_up_to
         upsets_of validate_poset validate_ppmap""",

@@ -205,24 +205,15 @@ def _cmd_search(args) -> int:
         src = _load_poset(args.src)
         dst = _load_poset(args.dst)
         res = find_surjective_ppmorphism(src, dst, budget=args.budget)
-        if res.status == "found":
-            _emit(serialize.map_to_dict(res.witness.table), args.out)
-        else:
-            print(res.status)
-        return EXIT_BY_STATUS[res.status]
-    if args.kind in ("embed", "homs"):
+    elif args.kind in ("embed", "homs"):
         _need(args, "small", "big")
         small = _load_algebra(args.small)
         big = _load_algebra(args.big)
         find = enumerate_embeddings if args.kind == "embed" else enumerate_homomorphisms
         res = find(small, big, limit=args.limit, budget=args.budget)
-        if res.status == "found":
+        if res:
             print(f"{len(res.maps)} found (complete={res.complete})")
-            _emit(serialize.map_to_dict(res.maps[0].table), args.out)
-        else:
-            print(res.status)
-        return EXIT_BY_STATUS[res.status]
-    if args.kind == "member":
+    elif args.kind == "member":
         _use("duality")
         _need(args, "algebra")
         a = _load_algebra(args.algebra)
@@ -232,7 +223,13 @@ def _cmd_search(args) -> int:
         if res.status == "yes":
             _emit(serialize.map_to_dict(res.witness.table), args.out)
         return EXIT_BY_STATUS[res.status]
-    return EXIT_INPUT
+    else:
+        return EXIT_INPUT
+    if res:
+        _emit(serialize.map_to_dict(res.witness.table), args.out)
+    else:
+        print(res.status)
+    return EXIT_BY_STATUS[res.status]
 
 
 def _cmd_report(args) -> int:

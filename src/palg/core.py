@@ -192,8 +192,8 @@ class AlgebraMap:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Maps found by a backtracking search: algebra maps, pp-maps or
-    quasigroup homomorphisms, by the enumerator.
+    """Maps found by a map search, in lexicographic order: algebra maps,
+    pp-maps, quasigroup homomorphisms, or the surjective pp-map sought.
 
     ``complete`` is False when the node budget ran out or the requested
     limit truncated the enumeration; an empty ``maps`` with
@@ -209,6 +209,14 @@ class EnumerationResult:
         """"found" if a map was found, else "none" when the search was
         complete (a proof), else "inconclusive"."""
         return "found" if self.maps else "none" if self.complete else "inconclusive"
+
+    @property
+    def witness(self):
+        """The first map, the lexicographically least one, or None."""
+        return self.maps[0] if self.maps else None
+
+    def __bool__(self) -> bool:
+        return bool(self.maps)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +536,7 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra,
     res = _map_search(a, b, injective=True, iso=True, limit=1, budget=budget)
     if res.status == "inconclusive":
         raise ResourceLimitError("isomorphism search budget exhausted")
-    return (True, res.maps[0]) if res.maps else (False, None)
+    return bool(res), res.witness
 
 
 # ---------------------------------------------------------------------------

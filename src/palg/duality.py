@@ -247,16 +247,6 @@ def compose_ppmaps(g: PPMap, f: PPMap) -> PPMap:
     return PPMap(f.source, g.target, tuple(g.table[v] for v in f.table))
 
 
-@dataclass(frozen=True)
-class PPSearchResult:
-    status: str                  # "found" | "none" | "inconclusive"
-    witness: PPMap | None
-    nodes: int
-
-    def __bool__(self) -> bool:
-        return self.status == "found"
-
-
 # the narrowing masks a pp search keeps for reuse, in bits; a mask past
 # this is built again at each node that needs it
 MAX_MASK_CACHE_BITS = 1 << 28
@@ -282,17 +272,18 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset):
     A state is ``(d, need)``.  ``need`` holds the required targets that no
     placed point covers yet: ``expand`` cuts a node whose domains cannot
     reach them all, and at the last point rejects a value that leaves one
-    uncovered.  ``d`` holds the domains of the points not yet placed: at
-    the node that places point ``i``, point ``i + j``'s target mask sits in
-    the ``nd + 1``-bit field at ``j * (nd + 1)``, whose top bit is a guard
-    that every state keeps set.  Fixing ``f(i) = t`` drops field 0 and
-    narrows every related later point with one AND, against a mask built
-    for ``(i, t)`` on first use and kept, for every search of the engine,
-    while the masks fit in ``MAX_MASK_CACHE_BITS``.  Subtracting 1 from a
-    field leaves its guard set unless the field was empty, so the narrowed
-    points all keep a target iff ``(e - spread) & touched == touched``,
-    where ``spread`` has bit 0 of each narrowed field and ``touched`` its
-    guard.
+    uncovered or breaks ``f(max up(x)) = max up(f(x))``, so every complete
+    assignment is a table.  ``d`` holds the domains of the points not yet
+    placed: at the node that places point ``i``, point ``i + j``'s target
+    mask sits in the ``nd + 1``-bit field at ``j * (nd + 1)``, whose top
+    bit is a guard that every state keeps set.  Fixing ``f(i) = t`` drops
+    field 0 and narrows every related later point with one AND, against a
+    mask built for ``(i, t)`` on first use and kept, for every search of
+    the engine, while the masks fit in ``MAX_MASK_CACHE_BITS``.
+    Subtracting 1 from a field leaves its guard set unless the field was
+    empty, so the narrowed points all keep a target iff
+    ``(e - spread) & touched == touched``, where ``spread`` has bit 0 of
+    each narrowed field and ``touched`` its guard.
     """
     ns, nd = src.size, dst.size
     w = nd + 1
@@ -337,6 +328,16 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset):
     # assignment is a pp-morphism iff no point of max up(f(x)) is missed,
     # which only a point with two or more maximals above it can do
     max_lists = [(x, list(bits(m))) for x, m in enumerate(mu_s) if m & (m - 1)]
+
+    def misses(f):
+        for x, ys in max_lists:
+            img = 0
+            for y in ys:
+                img |= 1 << f[y]
+            if img != mu_d[f[x]]:
+                return True
+        return False
+
     # doubling[j]: the shifts that fold 2^j fields onto the lowest one
     doubling = [()]
     for j in range(ns.bit_length()):
@@ -371,7 +372,7 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset):
                 yield None
             elif not touched:
                 rest = need & ~low
-                yield None if rest and i == last else (d, rest)
+                yield None if i == last and (rest or misses(f)) else (d, rest)
             else:
                 mask = masks[t]
                 if mask is None:
@@ -384,22 +385,11 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset):
                 e = d & mask
                 yield (e, need & ~low) if (e - spread) & touched == touched else None
 
-    def tables(search, required):
-        if required and not ns:
-            return
-        for f in search.solutions((dom0, required)):
-            for x, ys in max_lists:
-                img = 0
-                for y in ys:
-                    img |= 1 << f[y]
-                if img != mu_d[f[x]]:
-                    break
-            else:
-                yield tuple(f)
-
     def run(required: int, budget: int):
         search = Backtrack(ns, expand, budget)
-        return search, tables(search, required)
+        if required and not ns:
+            return search, iter(())
+        return search, (tuple(f) for f in search.solutions((dom0, required)))
 
     return run
 
@@ -415,17 +405,17 @@ def _pp_search(run, required: int, budget: int) -> tuple[str, tuple[int, ...] | 
 
 
 def find_surjective_ppmorphism(source: FinitePoset, target: FinitePoset,
-                               budget: int = DEFAULT_SEARCH_BUDGET) -> PPSearchResult:
-    """Search for a surjective pp-morphism source -> target.
+                               budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
+    """The lexicographically least surjective pp-morphism source -> target,
+    as an enumeration of at most one map; ``witness`` is that map.
 
     "none" is only reported when the backtracking exhausted within budget,
     so it is a proof of non-existence.
     """
     status, table, nodes = _pp_search(_pp_tables(source, target),
                                       (1 << target.size) - 1, budget)
-    if status == "found":
-        return PPSearchResult("found", PPMap(source, target, table), nodes)
-    return PPSearchResult(status, None, nodes)
+    maps = () if table is None else (PPMap(source, target, table),)
+    return EnumerationResult(maps, status == "none", nodes)
 
 
 def enumerate_ppmorphisms(source: FinitePoset, target: FinitePoset,

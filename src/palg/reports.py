@@ -74,21 +74,23 @@ def _suite(name: str, clauses: list[dict]) -> dict:
 
 def run_lemma7() -> dict:
     """qb_n holds exactly when the n-atom subdirectly irreducible does not
-    embed, over the whole corpus, for n = 1, 2, 3."""
+    embed, over the whole corpus, for n = 1, 2, 3; the embedding is also
+    decided dually, as a surjective pp-morphism from delta(A) onto the n-fan."""
     _use("logic")
     clauses = []
+    duals = [delta(a)[0] for _, a in lemma7_corpus()]
     for n in (1, 2, 3):
         qb = make_qb(n)
         bn = make_bn(n)
+        fan = make_p1(n)
         mismatches = []
-        for label, a in lemma7_corpus():
-            sat = satisfies(a, qb)
-            emb = enumerate_embeddings(bn, a, limit=1)
-            if "inconclusive" in (sat.status, emb.status):
-                mismatches.append(f"{label}: inconclusive")
-                continue
-            if bool(sat) != (emb.status == "none"):
-                mismatches.append(f"{label}: qb{n}={bool(sat)} embeds={emb.status == 'found'}")
+        for (label, a), dual in zip(lemma7_corpus(), duals):
+            sat = satisfies(a, qb).status
+            emb = enumerate_embeddings(bn, a, limit=1).status
+            onto = find_surjective_ppmorphism(dual, fan).status
+            if (sat, emb, onto) not in (("satisfied", "none", "none"),
+                                        ("falsified", "found", "found")):
+                mismatches.append(f"{label}: qb{n} {sat}, embedding {emb}, onto the fan {onto}")
         clauses.append(_clause(f"qb{n} iff no bn{n} embedding",
                                not mismatches, "; ".join(mismatches) or
                                f"{len(lemma7_corpus())} algebras agree"))

@@ -13,10 +13,12 @@ recursion limit.  An engine supplies one callback per level:
     budget; a value skipped without a yield is not a node.
 
 Complete assignments come out in lexicographic order when the values are
-ascending.  :func:`table_homs` is the table-homomorphism engine built on
-the kernel, shared by algebra and quasigroup homomorphism searches; the
-pp-morphism search, poset isomorphism and both quasiequation sweeps
-(through ``logic._level_search``) run on it too.
+ascending.  A map engine checks every constraint in ``expand``, so each
+complete assignment it yields is one of its maps, unfiltered.
+:func:`table_homs` is the table-homomorphism engine built on the kernel,
+shared by algebra and quasigroup homomorphism searches; the pp-morphism
+search, poset isomorphism and both quasiequation sweeps (through
+``logic._level_search``) run on it too.
 
 A state is whatever its engine needs.  The pp-morphism engine
 (``duality._pp_tables``, one per source and target) packs the remaining

@@ -3,12 +3,14 @@ that ``palg.duality._pp_tables`` builds.
 
 Each node copies a list of per-point target masks and narrows the points
 related to the one just placed, one pair at a time, from ``forward`` lists
-built for every related pair of the source before the first node, and a
-finished table that misses a required target is dropped by a filter at
-the leaf.  The packed engine decides the requirement in its search state
-instead, rejecting such a value as it places the last point; that is one
-node either way, so it must visit exactly this tree: the same tables, in
-the same order, at the same node counts, with the same budget semantics.
+built for every related pair of the source before the first node.  A
+finished table that misses a required target or breaks
+``f(max up(x)) = max up(f(x))`` is dropped by a filter at the leaf, the
+reference this oracle keeps.  The packed engine yields only pp-morphisms
+instead: it rejects such a value as it places the last point.  That is
+one node either way, so it must visit exactly this tree: the same tables,
+in the same order, at the same node counts, with the same budget
+semantics.
 """
 
 from palg.core import bits

@@ -18,6 +18,7 @@ from palg import (
     delta_map,
     disjoint_union,
     enumerate_embeddings,
+    enumerate_homomorphisms,
     epsilon,
     epsilon_map,
     find_surjective_ppmorphism,
@@ -34,8 +35,8 @@ from palg import (
     validate_poset,
     validate_ppmap,
 )
-from palg import duality
-from palg.core import covers, transpose
+from palg import duality, reports
+from palg.core import EnumerationResult, covers, transpose
 from palg.duality import _profile, enumerate_ppmorphisms
 from palg.steiner import collapse_pasting, construct_sts, fano_system, paste_w, poset_of
 
@@ -270,6 +271,17 @@ class TestSurjectivePPSearch:
         res = find_surjective_ppmorphism(EMPTY_POSET, make_p1(1))
         assert res.status == "none"
 
+    def test_each_verdict_is_an_enumeration_of_at_most_one_map(self):
+        # complete only when it proves "none", as a limit of 1 reads
+        src = disjoint_union([poset_of(construct_sts(13)), paste_w(4)])
+        found, none, out = (find_surjective_ppmorphism(paste_w(4), make_p1(3)),
+                            find_surjective_ppmorphism(src, make_p1(4)),
+                            find_surjective_ppmorphism(src, make_p1(4), budget=5))
+        assert [(r.status, len(r.maps), r.complete, bool(r)) for r in (found, none, out)] == [
+            ("found", 1, False, True), ("none", 0, True, False), ("inconclusive", 0, False, False)]
+        assert all(isinstance(r, EnumerationResult) for r in (found, none, out))
+        assert found.witness is found.maps[0] and none.witness is None
+
 
 class TestDisjointUnion:
     def test_two_points_make_antichain(self):
@@ -345,6 +357,87 @@ class TestMembership:
         res = finite_membership(epsilon(paste_w(3)), [bn[3], bn[2]])
         assert res.status == "yes" and len(res.summands) > 1
         assert built == [delta(bn[3])[0], delta(bn[2])[0]]
+
+
+def separating_membership(a, generators) -> str:
+    """A second route to ``a`` in Q(generators), through no dual: for a
+    finite set K of finite algebras Q(K) = ISP(K), so ``a`` is a member
+    iff the homomorphisms from ``a`` into the generators separate its
+    points (Burris & Sankappanavar, ch. V)."""
+    columns = []
+    for g in generators:
+        res = enumerate_homomorphisms(a, g)
+        if not res.complete:
+            return "inconclusive"
+        columns += [h.table for h in res.maps]
+    separated = len({tuple(t[x] for t in columns) for x in range(a.size)}) == a.size
+    return "yes" if separated else "no"
+
+
+class TestDualRoutes:
+    """Each algebra-side search against the same question asked of the
+    duals (Priestley 1975), over every pair of nonempty poset classes."""
+
+    @staticmethod
+    def dual_pairs(n):
+        """Per pair P, Q of nonempty posets on at most ``n`` points: the
+        homomorphisms and embeddings eps P -> eps Q and the pp-morphisms
+        Q -> P, each a complete list."""
+        posets = [p for p in posets_up_to(n) if p.size]
+        algebras = [epsilon(p) for p in posets]
+        for p, a in zip(posets, algebras):
+            for q, b in zip(posets, algebras):
+                homs, embeddings = enumerate_homomorphisms(a, b), enumerate_embeddings(a, b)
+                pps = enumerate_ppmorphisms(q, p)
+                assert homs.complete and embeddings.complete and pps.complete
+                yield homs.maps, embeddings.maps, pps.maps
+
+    def test_homomorphisms_are_the_duals_of_ppmorphisms(self):
+        # Hom(eps P, eps Q) is eps of the pp-morphisms Q -> P, and the
+        # embeddings are the images of the surjective ones
+        total = 0
+        for homs, embeddings, pps in self.dual_pairs(4):
+            assert [h.table for h in homs] == sorted(epsilon_map(f).table for f in pps)
+            assert len(embeddings) == sum(f.is_surjective() for f in pps)
+            total += len(homs)
+        assert total == 5193
+
+    @pytest.mark.expensive
+    def test_embeddings_are_the_duals_of_surjections_on_five_points(self):
+        # eps is applied to the surjections alone: over all 200 714 maps it
+        # takes half a minute, as each call builds both upset algebras
+        homs_total = embeddings_total = 0
+        for homs, embeddings, pps in self.dual_pairs(5):
+            assert len(homs) == len(pps)
+            assert [e.table for e in embeddings] == sorted(
+                epsilon_map(f).table for f in pps if f.is_surjective())
+            homs_total += len(homs)
+            embeddings_total += len(embeddings)
+        assert (homs_total, embeddings_total) == (200_714, 5022)
+
+    @pytest.mark.parametrize("n,members", [(4, 399), pytest.param(5, 5161, marks=pytest.mark.expensive)])
+    def test_membership_matches_separating_homomorphisms(self, n, members):
+        algebras = [epsilon(p) for p in posets_up_to(n) if p.size]
+        yes = 0
+        for a in algebras:
+            for g in algebras:
+                route = separating_membership(a, [g])
+                assert finite_membership(a, [g]).status == route != "inconclusive"
+                yes += route == "yes"
+        assert yes == members
+
+    def test_lemma7_names_all_three_verdicts_of_a_mismatch(self, bn, monkeypatch):
+        monkeypatch.setattr(reports, "lemma7_corpus", lambda: (("bn2", bn[2]), ("bn3", bn[3])))
+        clauses = reports.run_lemma7()["clauses"]
+        assert [c["detail"] for c in clauses] == ["2 algebras agree"] * 3
+        # a pp route that runs out is a mismatch even where the other two agree
+        monkeypatch.setattr(reports, "find_surjective_ppmorphism",
+                            lambda *args: EnumerationResult((), False, 0))
+        clauses = reports.run_lemma7()["clauses"]
+        assert not any(c["passed"] for c in clauses)
+        assert clauses[2]["detail"] == (
+            "bn2: qb3 satisfied, embedding none, onto the fan inconclusive; "
+            "bn3: qb3 falsified, embedding found, onto the fan inconclusive")
 
 
 class TestRoundTrips:
