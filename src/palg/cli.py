@@ -132,7 +132,7 @@ def _cmd_check(args) -> int:
     elif args.what == "poset":
         _need(args, "file")
         serialize.poset_from_dict(load_json(args.file))
-        rep = ValidationReport(ok=True)  # a file that is not an order was refused above
+        rep = ValidationReport()  # a file that is not an order was refused above
     elif args.what == "ppmap":
         _use("duality")
         _need(args, "src", "dst", "map")

@@ -44,11 +44,26 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
+    """The first law a validator found broken, with its first witness, or none."""
+
     violations: tuple[Violation, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def first_broken(*checks) -> ValidationReport:
+    """The first witness of the first law that has one: ``checks`` are
+    ``(law, witnesses)`` pairs in checking order, each ``witnesses`` a lazy
+    iterable of tuples, read only when every earlier law has none."""
+    for law, witnesses in checks:
+        for w in witnesses:
+            return ValidationReport((Violation(law, w),))
+    return ValidationReport()
 
 
 def bits(mask: int):
@@ -174,17 +189,16 @@ class AlgebraMap:
 
     def is_homomorphism(self) -> bool:
         s, t, f = self.source, self.target, self.table
-        if f[s.zero] != t.zero or f[s.one] != t.one:
-            return False
-        for x in range(s.size):
-            if t.star[f[x]] != f[s.star[x]]:
-                return False
-            for y in range(s.size):
-                if t.meet[f[x]][f[y]] != f[s.meet[x][y]]:
-                    return False
-                if t.join[f[x]][f[y]] != f[s.join[x][y]]:
-                    return False
-        return True
+        xs = range(s.size)
+
+        def unsent(op, image_op):
+            return ((x, y) for x in xs for y in xs if image_op[f[x]][f[y]] != f[op[x][y]])
+
+        return first_broken(
+            ("f(0) = 0, f(1) = 1", [()] if (f[s.zero], f[s.one]) != (t.zero, t.one) else []),
+            ("f(x*) = f(x)*", ((x,) for x in xs if t.star[f[x]] != f[s.star[x]])),
+            ("f(x ^ y) = f(x) ^ f(y)", unsent(s.meet, t.meet)),
+            ("f(x v y) = f(x) v f(y)", unsent(s.join, t.join))).ok
 
     def is_embedding(self) -> bool:
         return len(set(self.table)) == self.source.size and self.is_homomorphism()
@@ -299,7 +313,7 @@ def validate_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
     if not (0 <= candidate.zero < n and 0 <= candidate.one < n):
         raise StructureError("zero/one out of range")
     v = _first_violation(candidate)
-    return ValidationReport(ok=v is None, violations=() if v is None else (v,))
+    return ValidationReport(() if v is None else (v,))
 
 
 # ---------------------------------------------------------------------------

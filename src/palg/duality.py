@@ -21,9 +21,9 @@ from .core import (
     ResourceLimitError,
     StructureError,
     ValidationReport,
-    Violation,
     bits,
     covers,
+    first_broken,
     transpose,
     upset_algebra,
 )
@@ -106,22 +106,22 @@ EMPTY_POSET = FinitePoset(0, ())
 
 
 def validate_poset(p: FinitePoset) -> ValidationReport:
-    """Reflexivity, antisymmetry and transitivity; each law reports its
-    first failure in row-major order."""
+    """Reflexivity, antisymmetry, then transitivity: the first law broken,
+    with its first witness in row-major order."""
     up = p.up
-    viol = [Violation("reflexive", (x,)) for x in range(p.size) if not (up[x] >> x) & 1][:1]
-    anti = trans = None
-    for x in range(p.size):
-        for y in bits(up[x] & ~(1 << x)):
-            if anti is None and (up[y] >> x) & 1:
-                anti = Violation("antisymmetric", (x, y))
-            gap = up[y] & ~up[x]
-            if trans is None and gap:
-                trans = Violation("transitive", (x, y, (gap & -gap).bit_length() - 1))
-        if anti and trans:
-            break
-    viol += [v for v in (anti, trans) if v]
-    return ValidationReport(ok=not viol, violations=tuple(viol))
+    trans = []  # the first transitivity witness, found by the antisymmetry walk
+
+    def antisymmetry():
+        for x in range(p.size):
+            for y in bits(up[x] & ~(1 << x)):
+                if (up[y] >> x) & 1:
+                    yield x, y
+                if not trans and (gap := up[y] & ~up[x]):
+                    trans.append((x, y, (gap & -gap).bit_length() - 1))
+
+    return first_broken(("reflexive", ((x,) for x in range(p.size) if not (up[x] >> x) & 1)),
+                        ("antisymmetric", antisymmetry()),
+                        ("transitive", trans))
 
 
 def max_up(p: FinitePoset, x: int) -> frozenset[int]:
@@ -217,27 +217,21 @@ class PPMap:
 
 
 def validate_ppmap(f: PPMap) -> ValidationReport:
-    """Order preservation plus ``f(max up(x)) = max up(f(x))`` pointwise."""
+    """Order preservation, then ``f(max up(x)) = max up(f(x))`` pointwise:
+    the first law broken, with its first witness in row-major order."""
     s, t, tab = f.source, f.target, f.table
-    viol = []
-    for x in range(s.size):
-        for y in bits(s.up[x]):
-            if not t.leq(tab[x], tab[y]):
-                viol.append(Violation("order-preserving", (x, y)))
-                break
-        else:
-            continue
-        break
-    for x in range(s.size):
-        img = 0
-        for y in bits(s.max_up_masks[x]):
-            img |= 1 << tab[y]
-        if img != t.max_up_masks[tab[x]]:
-            viol.append(Violation("pp condition f(max up(x)) = max up(f(x))",
-                                  (x, tuple(sorted(bits(img))),
-                                   tuple(sorted(bits(t.max_up_masks[tab[x]]))))))
-            break
-    return ValidationReport(ok=not viol, violations=tuple(viol))
+
+    def pp_failures():
+        for x in range(s.size):
+            img = 0
+            for y in bits(s.max_up_masks[x]):
+                img |= 1 << tab[y]
+            if img != (want := t.max_up_masks[tab[x]]):
+                yield x, tuple(bits(img)), tuple(bits(want))
+
+    return first_broken(("order-preserving", ((x, y) for x in range(s.size) for y in bits(s.up[x])
+                                              if not t.leq(tab[x], tab[y]))),
+                        ("pp condition f(max up(x)) = max up(f(x))", pp_failures()))
 
 
 def compose_ppmaps(g: PPMap, f: PPMap) -> PPMap:

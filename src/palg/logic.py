@@ -156,14 +156,14 @@ class _Parser:
         while self.peek()[0] == "JOIN":
             self.i += 1
             terms.append(self.meet())
-        return _join_all(terms)
+        return _fold(Join, terms, ZERO)
 
     def meet(self) -> Term:
         terms = [self.unary()]
         while self.peek()[0] == "^":
             self.i += 1
             terms.append(self.unary())
-        return _meet_all(terms)
+        return _fold(Meet, terms, ONE)
 
     def unary(self) -> Term:
         t = self.atom()
@@ -197,23 +197,20 @@ def parse(text: str) -> Term | Quasiequation:
     """Parse a term, identity or quasiequation; round-trips with the
     formatters below."""
     p = _Parser(text)
-    start = p.i
     first = p.term()
-    kind = p.peek()[0]
-    if kind == "END":
+    if p.peek()[0] == "END":
         return first
-    p.i = start
-    eqs = [p.equation()]
+    p.take("=")
+    eqs = [(first, p.term())]
     while p.peek()[0] == "&":
         p.i += 1
         eqs.append(p.equation())
     if p.peek()[0] == "=>":
         p.i += 1
-        concl = p.equation()
-        q = Quasiequation(tuple(eqs), concl)
+        q = Quasiequation(tuple(eqs), p.equation())
+    elif len(eqs) != 1:
+        raise ParseError("premise list without conclusion", p.peek()[2])
     else:
-        if len(eqs) != 1:
-            raise ParseError("premise list without conclusion", p.peek()[2])
         q = Quasiequation((), eqs[0])
     k, v, at = p.peek()
     if k != "END":
@@ -533,23 +530,14 @@ def satisfies(a: FiniteAlgebra, q: Quasiequation,
 # named quasiequations
 
 
-def _join_all(terms: list[Term]) -> Term:
-    """Right-associated join, empty join = 0."""
+def _fold(node: type, terms: list[Term], empty: Term) -> Term:
+    """Right-associated ``node`` (``Join`` or ``Meet``) of ``terms``;
+    ``empty`` (its unit) when there are none."""
     if not terms:
-        return ZERO
+        return empty
     out = terms[-1]
     for t in reversed(terms[:-1]):
-        out = Join(t, out)
-    return out
-
-
-def _meet_all(terms: list[Term]) -> Term:
-    """Right-associated meet, empty meet = 1."""
-    if not terms:
-        return ONE
-    out = terms[-1]
-    for t in reversed(terms[:-1]):
-        out = Meet(t, out)
+        out = node(t, out)
     return out
 
 
@@ -560,9 +548,9 @@ def make_qb(n: int) -> Quasiequation:
     if n < 1:
         raise ValueError("n must be positive")
     xs = [Var(f"x{i}") for i in range(1, n + 1)]
-    premises = tuple((Star(xs[i]), _join_all([xs[j] for j in range(n) if j != i]))
+    premises = tuple((Star(xs[i]), _fold(Join, [xs[j] for j in range(n) if j != i], ZERO))
                      for i in range(n))
-    return Quasiequation(premises, (_join_all(xs), ONE))
+    return Quasiequation(premises, (_fold(Join, xs, ZERO), ONE))
 
 
 def make_ib(m: int) -> Quasiequation:
@@ -571,9 +559,9 @@ def make_ib(m: int) -> Quasiequation:
     if m < 1:
         raise ValueError("m must be positive")
     xs = [Var(f"x{i}") for i in range(1, m + 2)]
-    summands = [Star(Meet(xs[i], _meet_all([Star(xs[j]) for j in range(m + 1) if j != i])))
+    summands = [Star(Meet(xs[i], _fold(Meet, [Star(xs[j]) for j in range(m + 1) if j != i], ONE)))
                 for i in range(m + 1)]
-    return Quasiequation((), (_join_all(summands), ONE))
+    return Quasiequation((), (_fold(Join, summands, ZERO), ONE))
 
 
 def make_positive_diagram(a: FiniteAlgebra) -> tuple[tuple[Term, Term], ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,8 +21,8 @@ from .core import (
     ResourceLimitError,
     StructureError,
     ValidationReport,
-    Violation,
     close,
+    first_broken,
 )
 from .duality import FinitePoset, PPMap
 from .search import table_homs
@@ -60,48 +61,26 @@ class SteinerQuasigroup:
 
 
 def validate_steiner(s: SteinerSystem) -> ValidationReport:
-    """Every 2-element point set lies in exactly one block."""
-    count: dict[tuple[int, int], int] = {}
-    for b in s.blocks:
-        for pair in itertools.combinations(b, 2):
-            count[pair] = count.get(pair, 0) + 1
-    viol = []
-    for x in range(s.order):
-        for y in range(x + 1, s.order):
-            c = count.get((x, y), 0)
-            if c != 1:
-                viol.append(Violation("pair in exactly one block", (x, y, c)))
-    if len(s.blocks) != s.order * (s.order - 1) // 6:
-        viol.append(Violation("block count v(v-1)/6", (len(s.blocks),)))
-    return ValidationReport(ok=not viol, violations=tuple(viol))
+    """Every 2-element point set lies in exactly one block, then the block
+    count: the first law broken, with its first witness."""
+    count = Counter(itertools.chain.from_iterable(itertools.combinations(b, 2) for b in s.blocks))
+    miscounted = ((*p, count[p]) for p in itertools.combinations(range(s.order), 2)
+                  if count[p] != 1)
+    wrong_size = len(s.blocks) != s.order * (s.order - 1) // 6
+    return first_broken(("pair in exactly one block", miscounted),
+                        ("block count v(v-1)/6", [(len(s.blocks),)] if wrong_size else []))
 
 
 def validate_quasigroup(q: SteinerQuasigroup) -> ValidationReport:
-    viol = []
+    """Idempotence, commutativity, then ``x . (x . y) = y``: the first law
+    broken, with its first witness in row-major order."""
     m = q.mult
-    for x in range(q.order):
-        if m[x][x] != x:
-            viol.append(Violation("x . x = x", (x,)))
-            break
-    done = False
-    for x in range(q.order):
-        for y in range(q.order):
-            if m[x][y] != m[y][x]:
-                viol.append(Violation("x . y = y . x", (x, y)))
-                done = True
-                break
-        if done:
-            break
-    done = False
-    for x in range(q.order):
-        for y in range(q.order):
-            if m[x][m[x][y]] != y:
-                viol.append(Violation("x . (x . y) = y", (x, y)))
-                done = True
-                break
-        if done:
-            break
-    return ValidationReport(ok=not viol, violations=tuple(viol))
+    return first_broken(
+        ("x . x = x", ((x,) for x in range(q.order) if m[x][x] != x)),
+        ("x . y = y . x", ((x, y) for x, row in enumerate(m) for y, v in enumerate(row)
+                           if v != m[y][x])),
+        ("x . (x . y) = y", ((x, y) for x, row in enumerate(m) for y, v in enumerate(row)
+                             if row[v] != y)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def _scan_palgebra(candidate: FiniteAlgebra) -> ValidationReport:
     check("x ^ (x ^ y)* = x ^ y*", lambda xs: m[xs[:, None], s[m[xs]]],
           lambda xs: m[xs[:, None], s[None, :]])
 
-    return ValidationReport(ok=not viol, violations=tuple(viol))
+    return ValidationReport(violations=tuple(viol))
 
 
 def breaks(a: FiniteAlgebra, v: Violation) -> bool:

@@ -57,3 +57,23 @@ def test_a_spread_that_every_change_run_beats_is_resolved():
 def test_usage_without_a_file(capsys):
     assert _tool().main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_a_bench_file_without_a_spec_beside_it_uses_the_checkouts(tmp_path, capsys):
+    bench = tmp_path / "BENCH_1.json"
+    bench.write_text(json.dumps({"runs": [_run("parent", "cli", setup_s=1.0),
+                                          _run("change", "cli", setup_s=0.9)]}))
+    assert _tool().main([str(bench)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.split()[:2] == ["cli", "setup_s"])
+    assert line.split()[2:4] == ["1", "0.9"]
+
+
+def test_no_spec_anywhere_is_one_line_and_exit_2(tmp_path, capsys):
+    bench = tmp_path / "BENCH_1.json"
+    bench.write_text(json.dumps({"runs": []}))
+    tool = _tool()
+    tool.CHECKOUT_SPEC = tmp_path / "missing" / "BENCHMARK.json"
+    assert tool.main([str(bench)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1

@@ -3,7 +3,8 @@
     python3 tools/bench_compare.py BENCH_<n>.json
 
 Takes the end-to-end metrics, their direction and their bounds from the
-``BENCHMARK.json`` next to the file.  For each workload and metric it
+``BENCHMARK.json`` next to the file, or, when there is none, from the one
+at the root of the checkout that holds this tool.  For each workload and metric it
 prints the median of the ``parent`` runs and of the ``change`` runs, the
 interquartile range of the parent runs, and how many of the pairs the
 change wins: the i-th parent run of a workload is paired with its i-th
@@ -24,6 +25,8 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+CHECKOUT_SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def iqr(values: list[float]) -> float:
@@ -56,7 +59,12 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python3 tools/bench_compare.py BENCH_<n>.json", file=sys.stderr)
         return 2
     path = Path(argv[0])
-    spec = json.loads((path.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec_path = next((p for p in (path.parent / "BENCHMARK.json", CHECKOUT_SPEC) if p.is_file()),
+                     None)
+    if spec_path is None:
+        print(f"no BENCHMARK.json next to {path} or at {CHECKOUT_SPEC}", file=sys.stderr)
+        return 2
+    spec = json.loads(spec_path.read_text(encoding="utf-8"))
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
     print(f"{'workload':<9} {'metric':<15} {'parent':>10} {'change':>10} {'parent IQR':>10} "
           f"{'wins':>5}  verdict")
