@@ -83,16 +83,10 @@ def _load_poset(path: str) -> FinitePoset:
 
 def _cmd_make(args) -> int:
     kind = args.kind
-    if kind in ("bn", "p1", "sts", "w") and args.n is None:
-        print(f"make {kind} needs a numeric parameter", file=sys.stderr)
-        return EXIT_INPUT
     if kind == "bn":
         a = make_bn(args.n)
         data, dot = algebra_to_dict(a), algebra_to_dot(a) if args.dot else None
     elif kind == "free":
-        if args.m is None or args.k is None:
-            print("make free needs --m and --k", file=sys.stderr)
-            return EXIT_INPUT
         _use("free")
         a = build_free(args.m, args.k).algebra
         data = algebra_to_dict(a)
@@ -115,27 +109,16 @@ def _cmd_make(args) -> int:
     return EXIT_OK
 
 
-def _need(args, *options: str) -> None:
-    """Refuse a command that misses one of its file ``options``."""
-    for option in options:
-        if getattr(args, option) is None:
-            what = args.what if args.command == "check" else args.kind
-            raise StructureError(f"{args.command} {what} needs --{option}")
-
-
 def _cmd_check(args) -> int:
     if args.what == "palgebra":
         from .core import validate_palgebra
-        _need(args, "file")
         a = serialize.parse_algebra(load_json(args.file))
         rep = validate_palgebra(a)
     elif args.what == "poset":
-        _need(args, "file")
         serialize.poset_from_dict(load_json(args.file))
         rep = ValidationReport()  # a file that is not an order was refused above
     elif args.what == "ppmap":
         _use("duality")
-        _need(args, "src", "dst", "map")
         src = _load_poset(args.src)
         dst = _load_poset(args.dst)
         table = serialize.map_from_dict(load_json(args.map))
@@ -143,9 +126,8 @@ def _cmd_check(args) -> int:
         rep = validate_ppmap(f)
         if rep.ok and not f.is_surjective():
             print("valid pp-morphism (not surjective)")
-    elif args.what == "quasieq":
+    else:
         _use("logic")
-        _need(args, "algebra")
         a = _load_algebra(args.algebra)
         q = _parse_quasieq(args)
         res = satisfies(a, q, budget=args.budget)
@@ -153,8 +135,6 @@ def _cmd_check(args) -> int:
         if res.status == "falsified":
             print("falsifier:", json.dumps(res.falsifier, sort_keys=True))
         return EXIT_BY_STATUS[res.status]
-    else:
-        return EXIT_INPUT
     if args.json:
         print(json.dumps({"ok": rep.ok,
                           "violations": [{"law": v.law, "witness": list(v.witness)}
@@ -168,8 +148,6 @@ def _cmd_check(args) -> int:
 
 
 def _parse_quasieq(args) -> Quasiequation:
-    if args.q is None and args.q_file is None:
-        raise StructureError("check quasieq needs --q or --q-file")
     text = args.q if args.q is not None else open(args.q_file, encoding="utf-8").read()
     q = parse(text)
     if not isinstance(q, Quasiequation):
@@ -201,21 +179,18 @@ def _cmd_dual(args) -> int:
 def _cmd_search(args) -> int:
     if args.kind == "ppmorph":
         _use("duality")
-        _need(args, "src", "dst")
         src = _load_poset(args.src)
         dst = _load_poset(args.dst)
         res = find_surjective_ppmorphism(src, dst, budget=args.budget)
     elif args.kind in ("embed", "homs"):
-        _need(args, "small", "big")
         small = _load_algebra(args.small)
         big = _load_algebra(args.big)
         find = enumerate_embeddings if args.kind == "embed" else enumerate_homomorphisms
         res = find(small, big, limit=args.limit, budget=args.budget)
         if res:
             print(f"{len(res.maps)} found (complete={res.complete})")
-    elif args.kind == "member":
+    else:
         _use("duality")
-        _need(args, "algebra")
         a = _load_algebra(args.algebra)
         gens = [_load_algebra(g) for g in args.gens]
         res = finite_membership(a, gens, budget=args.budget)
@@ -223,8 +198,6 @@ def _cmd_search(args) -> int:
         if res.status == "yes":
             _emit(serialize.map_to_dict(res.witness.table), args.out)
         return EXIT_BY_STATUS[res.status]
-    else:
-        return EXIT_INPUT
     if res:
         _emit(serialize.map_to_dict(res.witness.table), args.out)
     else:
@@ -279,26 +252,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     mk = sub.add_parser("make", help="construct a named algebra or poset")
-    mk.add_argument("kind", choices=["bn", "p1", "fano", "sts", "w", "free"])
-    mk.add_argument("n", type=int, nargs="?", help="parameter for bn/p1/sts/w")
-    mk.add_argument("--m", type=int, help="variety parameter for free")
-    mk.add_argument("--k", type=int, help="generator count for free")
-    mk.add_argument("--out", help="output JSON path (default: stdout)")
-    mk.add_argument("--dot", help="also write a Hasse diagram in DOT")
     mk.set_defaults(fn=_cmd_make)
+    mk_kinds = mk.add_subparsers(dest="kind", required=True)
+    for kind in ("bn", "p1", "fano", "sts", "w", "free"):
+        p = mk_kinds.add_parser(kind)
+        if kind == "free":
+            p.add_argument("--m", type=int, required=True, help="variety parameter")
+            p.add_argument("--k", type=int, required=True, help="generator count")
+        elif kind != "fano":
+            p.add_argument("n", type=int, help="size parameter")
+        p.add_argument("--out", help="output JSON path (default: stdout)")
+        p.add_argument("--dot", help="also write a Hasse diagram in DOT")
 
     ck = sub.add_parser("check", help="validate an object or a quasiequation")
-    ck.add_argument("what", choices=["palgebra", "poset", "ppmap", "quasieq"])
-    ck.add_argument("--file", help="algebra or poset file")
-    ck.add_argument("--src", help="source poset file (ppmap)")
-    ck.add_argument("--dst", help="target poset file (ppmap)")
-    ck.add_argument("--map", help="map table file (ppmap)")
-    ck.add_argument("--algebra", help="algebra file (quasieq)")
-    ck.add_argument("--q", help="quasiequation text (a bare term t is read as t = 1)")
-    ck.add_argument("--q-file", help="file holding the quasiequation text")
-    ck.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SWEEP_BUDGET)
-    ck.add_argument("--json", action="store_true")
     ck.set_defaults(fn=_cmd_check)
+    ck_kinds = ck.add_subparsers(dest="what", required=True)
+    for what, files in (("palgebra", {"--file": "algebra file"}),
+                        ("poset", {"--file": "poset file"}),
+                        ("ppmap", {"--src": "source poset file", "--dst": "target poset file",
+                                   "--map": "map table file"})):
+        p = ck_kinds.add_parser(what)
+        for option, about in files.items():
+            p.add_argument(option, required=True, help=about)
+        p.add_argument("--json", action="store_true")
+    qe = ck_kinds.add_parser("quasieq")
+    qe.add_argument("--algebra", required=True, help="algebra file")
+    text = qe.add_mutually_exclusive_group(required=True)
+    text.add_argument("--q", help="quasiequation text (a bare term t is read as t = 1)")
+    text.add_argument("--q-file", help="file holding the quasiequation text")
+    qe.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SWEEP_BUDGET)
 
     du = sub.add_parser("dual", help="apply a dual functor")
     du.add_argument("direction", choices=["delta", "epsilon"])
@@ -309,17 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     du.set_defaults(fn=_cmd_dual)
 
     se = sub.add_parser("search", help="witness searches")
-    se.add_argument("kind", choices=["ppmorph", "embed", "member", "homs"])
-    se.add_argument("--src")
-    se.add_argument("--dst")
-    se.add_argument("--small")
-    se.add_argument("--big")
-    se.add_argument("--algebra")
-    se.add_argument("--gens", nargs="+", default=[])
-    se.add_argument("--limit", type=_int_at_least(1), default=None)
-    se.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SEARCH_BUDGET)
-    se.add_argument("--out")
     se.set_defaults(fn=_cmd_search)
+    se_kinds = se.add_subparsers(dest="kind", required=True)
+    for kind, files in (("ppmorph", ("--src", "--dst")), ("embed", ("--small", "--big")),
+                        ("member", ("--algebra",)), ("homs", ("--small", "--big"))):
+        p = se_kinds.add_parser(kind)
+        for option in files:
+            p.add_argument(option, required=True)
+        if kind == "member":
+            p.add_argument("--gens", nargs="+", default=[])
+        elif kind != "ppmorph":
+            p.add_argument("--limit", type=_int_at_least(1))
+        p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SEARCH_BUDGET)
+        p.add_argument("--out")
 
     rp = sub.add_parser("report", help="run a named verification suite")
     rp.add_argument("suite", choices=REPORT_SUITES)

@@ -105,7 +105,9 @@ def variables_of(q: Quasiequation) -> list[str]:
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-_TOKEN = re.compile(r"\s*(=>|[a-zA-Z][a-zA-Z0-9_]*|[01()^*=&])")
+# the group that matches names the token's kind; an operator is its own kind
+_TOKEN = re.compile(r"\s*(?:(?P<JOIN>v(?![a-zA-Z0-9_]))|(?P<VAR>[a-zA-Z][a-zA-Z0-9_]*)"
+                    r"|(?P<CONST>[01])|(?P<OP>=>|[()^*=&]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -118,16 +120,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        tok = m.group(1)
-        at = m.start(1)
-        if tok == "v":
-            tokens.append(("JOIN", tok, at))
-        elif re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", tok):
-            tokens.append(("VAR", tok, at))
-        elif tok in ("0", "1"):
-            tokens.append(("CONST", tok, at))
-        else:
-            tokens.append((tok, tok, at))
+        kind = m.lastgroup
+        tok = m.group(kind)
+        tokens.append((tok if kind == "OP" else kind, tok, m.start(kind)))
         pos = m.end()
     tokens.append(("END", "", len(text)))
     return tokens

@@ -126,16 +126,13 @@ def run_lemma10() -> dict:
         _clause("order-7 system is planar", is_planar(q7)),
         _clause("order-13 system is planar", is_planar(q13)),
     ]
-    down = enumerate_quasigroup_homs(q13, q7)
-    clauses.append(_clause(
-        "13 -> 7: exactly 7 maps, all constant",
-        down.complete and len(down.maps) == 7 and all(h.is_constant() for h in down.maps),
-        f"{len(down.maps)} maps, complete={down.complete}"))
-    up = enumerate_quasigroup_homs(q7, q13)
-    clauses.append(_clause(
-        "7 -> 13: exactly 13 maps, all constant",
-        up.complete and len(up.maps) == 13 and all(h.is_constant() for h in up.maps),
-        f"{len(up.maps)} maps, complete={up.complete}"))
+    for src, dst in ((q13, q7), (q7, q13)):
+        homs = enumerate_quasigroup_homs(src, dst)
+        clauses.append(_clause(
+            f"{src.order} -> {dst.order}: exactly {dst.order} maps, all constant",
+            homs.complete and len(homs.maps) == dst.order
+            and all(h.is_constant() for h in homs.maps),
+            f"{len(homs.maps)} maps, complete={homs.complete}"))
     endo = enumerate_quasigroup_homs(q7, q7)
     clauses.append(_clause(
         "7 -> 7: the 7 constants plus nonconstant automorphisms",

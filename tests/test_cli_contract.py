@@ -2,13 +2,16 @@
 error, 3 resource limit, 4 inconclusive, for every verdict command and for
 malformed input files."""
 
+import argparse
 import json
+import pathlib
 import random
+import shlex
 
 import pytest
 
 from palg import format_quasiequation, make_qb
-from palg.cli import main
+from palg.cli import build_parser, main
 from palg.core import MAX_ALGEBRA_SIZE
 
 TRIVIAL = {"size": 1, "meet": [[0]], "join": [[0]], "star": [0], "zero": 0, "one": 0}
@@ -82,6 +85,56 @@ def test_a_map_past_the_table_budget_is_refused_before_any_entry_is_read(paths, 
     edge.write_text(json.dumps({"table": ["x"] * MAX_ALGEBRA_SIZE}))
     assert main(["check", "ppmap", "--src", paths["p13"], "--dst", paths["p13"],
                  "--map", str(edge)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the command lines the parser accepts
+
+# the options each (command, kind) reads; "!" marks a required one
+READS = {
+    **{("make", kind): "n! --out --dot" for kind in ("bn", "p1", "sts", "w")},
+    ("make", "fano"): "--out --dot",
+    ("make", "free"): "--m! --k! --out --dot",
+    ("check", "palgebra"): "--file! --json",
+    ("check", "poset"): "--file! --json",
+    ("check", "ppmap"): "--src! --dst! --map! --json",
+    ("check", "quasieq"): "--algebra! --q --q-file --budget",
+    ("search", "ppmorph"): "--src! --dst! --budget --out",
+    ("search", "embed"): "--small! --big! --limit --budget --out",
+    ("search", "homs"): "--small! --big! --limit --budget --out",
+    ("search", "member"): "--algebra! --gens --budget --out",
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_kind_accepts_exactly_the_options_it_reads():
+    commands = _subparsers(build_parser())
+    accepted = {}
+    for command in ("make", "check", "search"):
+        for kind, parser in _subparsers(commands[command]).items():
+            accepted[command, kind] = {
+                (a.option_strings[0] if a.option_strings else a.dest) + "!" * a.required
+                for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    assert accepted == {key: set(options.split()) for key, options in READS.items()}
+    (text,) = _subparsers(commands["check"])["quasieq"]._mutually_exclusive_groups
+    assert text.required
+    assert [a.option_strings for a in text._group_actions] == [["--q"], ["--q-file"]]
+
+
+def test_every_command_line_in_the_readme_parses():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## The CLI")[1].split("```")[1]
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("palg ")]
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"the README's {line.strip()!r} does not parse")
 
 
 # ---------------------------------------------------------------------------

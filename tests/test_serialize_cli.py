@@ -121,6 +121,13 @@ def files(tmp_path):
     return out
 
 
+def run_cli(argv):
+    """``palg argv`` run in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
+    return subprocess.run([sys.executable, "-m", "palg.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestCli:
     def test_make_writes_expected_sizes(self, files):
         assert json.load(open(files["bn3"]))["size"] == 9
@@ -345,12 +352,9 @@ class TestCli:
          "argument --budget: must be at least 0, got -1"),
     ], ids=["negative-limit", "zero-limit", "search-budget", "sweep-budget"])
     def test_limits_and_budgets_out_of_range_are_usage_errors(self, files, kind, args, message):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
-        argv = [files.get(a, a) for a in args]
-        run = subprocess.run([sys.executable, "-m", "palg.cli", kind, *argv],
-                             capture_output=True, text=True, env=env, timeout=60)
+        run = run_cli([kind, *(files.get(a, a) for a in args)])
         assert run.returncode == 2 and "Traceback" not in run.stderr
-        assert run.stderr.splitlines()[-1] == f"palg {kind}: error: {message}"
+        assert run.stderr.splitlines()[-1] == f"palg {kind} {args[0]}: error: {message}"
 
     def test_numpy_is_loaded_only_by_a_grid_sweep(self, files, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
@@ -410,7 +414,9 @@ class TestCli:
         assert dot.read_text().startswith("digraph")
 
     def test_make_missing_parameter(self):
-        assert main(["make", "p1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["make", "p1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv,option", [
         (["check", "palgebra"], "--file"),
@@ -423,11 +429,29 @@ class TestCli:
         (["search", "member", "--gens", "bn3"], "--algebra"),
     ])
     def test_a_missing_file_option_is_an_input_error(self, files, argv, option):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(palg.__file__)))
-        run = subprocess.run([sys.executable, "-m", "palg.cli", *(files.get(a, a) for a in argv)],
-                             capture_output=True, text=True, env=env, timeout=60)
+        run = run_cli([files.get(a, a) for a in argv])
         assert run.returncode == 2 and "Traceback" not in run.stderr
-        assert run.stderr == f"input error: {argv[0]} {argv[1]} needs {option}\n"
+        assert run.stderr.splitlines()[-1] == (
+            f"palg {argv[0]} {argv[1]}: error: the following arguments are required: {option}")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "quasieq", "--algebra", "bn3", "--q", "x = x", "--json"],
+         "palg: error: unrecognized arguments: --json"),
+        (["search", "member", "--algebra", "bn3", "--gens", "bn3", "--limit", "1"],
+         "palg: error: unrecognized arguments: --limit 1"),
+        (["search", "ppmorph", "--src", "p13", "--dst", "p13", "--limit", "1"],
+         "palg: error: unrecognized arguments: --limit 1"),
+        (["check", "palgebra", "--file", "bn3", "--budget", "5"],
+         "palg: error: unrecognized arguments: --budget 5"),
+        (["make", "fano", "3"], "palg: error: unrecognized arguments: 3"),
+        (["check", "quasieq", "--algebra", "bn3", "--q", "x = x", "--q-file", "q.txt"],
+         "palg check quasieq: error: argument --q-file: not allowed with argument --q"),
+    ], ids=["quasieq-json", "member-limit", "ppmorph-limit", "palgebra-budget", "fano-n",
+            "q-and-q-file"])
+    def test_an_option_the_kind_does_not_read_is_a_usage_error(self, files, argv, message):
+        run = run_cli(argv[:2] + [files.get(a, a) for a in argv[2:]])  # "fano" is also a file
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        assert run.stderr.splitlines()[-1] == message
 
     @pytest.mark.parametrize("kind,n,code", [
         ("p1", 4999, 0), ("w", 4987, 0), ("sts", 169, 0),

@@ -1,6 +1,7 @@
 import pytest
 
 from palg import (
+    StructureError,
     SteinerQuasigroup,
     SteinerSystem,
     collapse_pasting,
@@ -50,6 +51,14 @@ class TestConstruct:
             SteinerSystem(3, [(0.9, 1, 2)])
         with pytest.raises(TypeError):
             SteinerQuasigroup(2, [[0, 1.7], [1, 1]])
+
+    @pytest.mark.parametrize("mult", [
+        [[0, 5, 1], [5, 1, 0], [1, 0, 2]],
+        [[0, -1, 1], [-1, 1, 0], [1, 0, 2]],  # -1 would be read from the end of a row
+    ], ids=["past-order", "negative"])
+    def test_table_entries_out_of_range_are_refused(self, mult):
+        with pytest.raises(StructureError, match="entry out of range"):
+            SteinerQuasigroup(3, mult)
 
 
 class TestQuasigroup:
