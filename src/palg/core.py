@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .search import table_homs
+from .search import EnumerationResult, table_homs
 
 MAX_ALGEBRA_SIZE = 5000     # cap on materialized operation tables
 MAX_BN_ATOMS = 12           # make_bn bound: 2**12 + 1 = 4097 elements
@@ -171,6 +171,17 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(size={self.size}, zero={self.zero}, one={self.one})"
 
 
+def image_table(f) -> tuple[int, ...]:
+    """The image table of the map ``f`` as a tuple of ints, refused unless
+    it has one entry per source element, each an index of the target."""
+    table = tuple(map(operator.index, f.table))
+    if len(table) != f.source.size:
+        raise StructureError("map table length does not match source size")
+    if table and (min(table) < 0 or max(table) >= f.target.size):
+        raise StructureError("map image out of range")
+    return table
+
+
 @dataclass(frozen=True)
 class AlgebraMap:
     """A candidate map between algebras, given by an image table."""
@@ -180,12 +191,7 @@ class AlgebraMap:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(map(operator.index, self.table)))
-        if len(self.table) != self.source.size:
-            raise StructureError("map table length does not match source size")
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
+        object.__setattr__(self, "table", image_table(self))
 
     def is_homomorphism(self) -> bool:
         s, t, f = self.source, self.target, self.table
@@ -202,35 +208,6 @@ class AlgebraMap:
 
     def is_embedding(self) -> bool:
         return len(set(self.table)) == self.source.size and self.is_homomorphism()
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    """Maps found by a map search, in lexicographic order: algebra maps,
-    pp-maps, quasigroup homomorphisms, or the surjective pp-map sought.
-
-    ``complete`` is False when the node budget ran out or the requested
-    limit truncated the enumeration; an empty ``maps`` with
-    ``complete=True`` is a proof that no map exists.
-    """
-
-    maps: tuple
-    complete: bool
-    nodes: int = 0
-
-    @property
-    def status(self) -> str:
-        """"found" if a map was found, else "none" when the search was
-        complete (a proof), else "inconclusive"."""
-        return "found" if self.maps else "none" if self.complete else "inconclusive"
-
-    @property
-    def witness(self):
-        """The first map, the lexicographically least one, or None."""
-        return self.maps[0] if self.maps else None
-
-    def __bool__(self) -> bool:
-        return bool(self.maps)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +491,11 @@ def _map_search(source: FiniteAlgebra, target: FiniteAlgebra, *,
                             if all(not a or b for a, b in zip(p, q)) for u in us)
                   for p in set(sprof)}
         cands = [admits[p] for p in sprof]
-    tables, complete, nodes = table_homs(
+    return table_homs(
         n, [(source.star, target.star)],
         [(source.meet, target.meet), (source.join, target.join)],
         [(source.zero, target.zero), (source.one, target.one)], cands,
-        injective=injective, limit=limit, budget=budget)
-    return EnumerationResult(tuple(AlgebraMap(source, target, t) for t in tables),
-                             complete, nodes)
+        partial(AlgebraMap, source, target), injective=injective, limit=limit, budget=budget)
 
 
 def enumerate_homomorphisms(source: FiniteAlgebra, target: FiniteAlgebra,

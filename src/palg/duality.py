@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .core import (
     DEFAULT_SEARCH_BUDGET,
     MAX_ALGEBRA_SIZE,
     AlgebraMap,
-    EnumerationResult,
     FiniteAlgebra,
     ResourceLimitError,
     StructureError,
@@ -24,10 +23,11 @@ from .core import (
     bits,
     covers,
     first_broken,
+    image_table,
     transpose,
     upset_algebra,
 )
-from .search import Backtrack
+from .search import Backtrack, EnumerationResult
 
 
 @dataclass(frozen=True)
@@ -203,14 +203,7 @@ class PPMap:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(map(operator.index, self.table)))
-        if len(self.table) != self.source.size:
-            raise StructureError("map table length does not match source size")
-        if any(not (0 <= v < self.target.size) for v in self.table):
-            raise StructureError("map image out of range")
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
+        object.__setattr__(self, "table", image_table(self))
 
     def is_surjective(self) -> bool:
         return len(set(self.table)) == self.target.size
@@ -258,10 +251,11 @@ def _spread(mask: int, width: int) -> int:
 
 def _pp_tables(src: FinitePoset, dst: FinitePoset):
     """The pp-morphism engine for ``src -> dst``, built once per pair:
-    ``run(required, budget)`` returns ``(search, tables)`` for the tables
-    whose image covers the ``required`` target mask, in lexicographic
-    order, by backtracking over point images in index order with forward
-    checking; ``search.nodes`` and ``search.exhausted`` report the work.
+    ``run(required, budget, make, limit)`` returns the
+    :class:`EnumerationResult` of the first ``limit`` tables, each passed
+    to ``make``, whose image covers the ``required`` target mask, in
+    lexicographic order, by backtracking over point images in index order
+    with forward checking.
 
     A state is ``(d, need)``.  ``need`` holds the required targets that no
     placed point covers yet: ``expand`` cuts a node whose domains cannot
@@ -379,11 +373,10 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset):
                 e = d & mask
                 yield (e, need & ~low) if (e - spread) & touched == touched else None
 
-    def run(required: int, budget: int):
-        search = Backtrack(ns, expand, budget)
+    def run(required: int, budget: int, make=tuple, limit: int | None = None):
         if required and not ns:
-            return search, iter(())
-        return search, (tuple(f) for f in search.solutions((dom0, required)))
+            return EnumerationResult((), True, 0)
+        return Backtrack(ns, expand, budget).enumerate((dom0, required), make, limit)
 
     return run
 
@@ -391,11 +384,8 @@ def _pp_tables(src: FinitePoset, dst: FinitePoset):
 def _pp_search(run, required: int, budget: int) -> tuple[str, tuple[int, ...] | None, int]:
     """The lexicographically least table of the engine ``run`` whose image
     covers the ``required`` target mask, as ``(status, table, nodes)``."""
-    search, tables = run(required, budget)
-    table = next(tables, None)
-    if table is not None:
-        return "found", table, search.nodes
-    return ("inconclusive" if search.exhausted else "none"), None, search.nodes
+    res = run(required, budget, limit=1)
+    return res.status, res.witness, res.nodes
 
 
 def find_surjective_ppmorphism(source: FinitePoset, target: FinitePoset,
@@ -416,10 +406,7 @@ def enumerate_ppmorphisms(source: FinitePoset, target: FinitePoset,
                           limit: int | None = None,
                           budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
     """All pp-morphisms source -> target in lexicographic table order."""
-    search, tables = _pp_tables(source, target)(0, budget)
-    found, complete = search.take(tables, limit)
-    return EnumerationResult(tuple(PPMap(source, target, t) for t in found), complete,
-                             search.nodes)
+    return _pp_tables(source, target)(0, budget, partial(PPMap, source, target), limit)
 
 
 def epsilon_map(f: PPMap) -> AlgebraMap:
@@ -484,7 +471,7 @@ def posets_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
                      for y in range(i))
             yield used | (1 << t) if ok else None
 
-    return next(Backtrack(n, expand).solutions(0), None) is not None
+    return bool(Backtrack(n, expand).enumerate(0, tuple, 1))
 
 
 @lru_cache(maxsize=None)

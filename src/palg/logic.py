@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import DEFAULT_SWEEP_BUDGET, FiniteAlgebra, make_bn
+from .core import DEFAULT_SWEEP_BUDGET, MAX_BN_ATOMS, FiniteAlgebra, make_bn
 from .search import Backtrack
 
 _GRID_CELLS = 1 << 18
@@ -604,12 +604,14 @@ def variety_satisfies(q: Quasiequation,
 
     A failure anywhere is witnessed in an n-generated algebra, whose
     subdirectly irreducible quotients have at most 2^n atoms, so checking
-    the algebras with 0..2^n atoms decides the variety.
+    the algebras with 0..2^n atoms decides the variety.  Past
+    ``MAX_BN_ATOMS`` atoms no algebra is built, so a quasiequation with
+    four or more variables that no checked algebra falsifies is
+    "inconclusive".
     """
-    n = len(variables_of(q))
-    bound = 1 << n
-    inconclusive = False
-    for j in range(bound + 1):
+    bound = 1 << len(variables_of(q))
+    inconclusive = bound > MAX_BN_ATOMS
+    for j in range(min(bound, MAX_BN_ATOMS) + 1):
         res = satisfies(make_bn(j), q, budget=budget)
         if res.status == "falsified":
             return VarietyResult("falsified", j, res.falsifier)

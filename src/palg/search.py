@@ -1,4 +1,5 @@
-"""The one backtracking kernel behind every search in palg.
+"""The one backtracking kernel behind every search in palg, and the one
+place where a map search's answer is built.
 
 :class:`Backtrack` assigns positions ``0..n-1`` in index order with an
 explicit stack, so the depth of a search is not bounded by Python's
@@ -14,11 +15,15 @@ recursion limit.  An engine supplies one callback per level:
 
 Complete assignments come out in lexicographic order when the values are
 ascending.  A map engine checks every constraint in ``expand``, so each
-complete assignment it yields is one of its maps, unfiltered.
-:func:`table_homs` is the table-homomorphism engine built on the kernel,
-shared by algebra and quasigroup homomorphism searches; the pp-morphism
-search, poset isomorphism and both quasiequation sweeps (through
-``logic._level_search``) run on it too.
+complete assignment it yields is one of its maps, unfiltered, and
+:meth:`Backtrack.enumerate` turns the first ``limit`` of them, through
+the engine's ``make(table)``, into the :class:`EnumerationResult` that
+every map search returns.  :func:`table_homs` is the table-homomorphism
+engine built on the kernel, shared by algebra and quasigroup homomorphism
+searches; the pp-morphism search, poset isomorphism and both
+quasiequation sweeps (through ``logic._level_search``) run on it too.
+The sweeps read :meth:`Backtrack.solutions` directly, as they check a
+conclusion at each assignment.
 
 A state is whatever its engine needs.  The pp-morphism engine
 (``duality._pp_tables``, one per source and target) packs the remaining
@@ -33,6 +38,36 @@ required targets that no placed point covers yet.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class EnumerationResult:
+    """Maps found by a map search, in lexicographic order: algebra maps,
+    pp-maps, quasigroup homomorphisms, or the surjective pp-map sought.
+
+    ``complete`` is False when the node budget ran out or the requested
+    limit truncated the enumeration; an empty ``maps`` with
+    ``complete=True`` is a proof that no map exists.
+    """
+
+    maps: tuple
+    complete: bool
+    nodes: int = 0
+
+    @property
+    def status(self) -> str:
+        """"found" if a map was found, else "none" when the search was
+        complete (a proof), else "inconclusive"."""
+        return "found" if self.maps else "none" if self.complete else "inconclusive"
+
+    @property
+    def witness(self):
+        """The first map, the lexicographically least one, or None."""
+        return self.maps[0] if self.maps else None
+
+    def __bool__(self) -> bool:
+        return bool(self.maps)
 
 
 class Backtrack:
@@ -79,18 +114,19 @@ class Backtrack:
                 pending[i] = expand(i, f, child)
         self.nodes = nodes
 
-    def take(self, solutions, limit: int | None):
-        """The first ``limit`` items (all, for ``None``) of ``solutions``,
-        an iterator over this search, and whether they are all there is;
-        a reached limit counts as truncation."""
-        found = list(itertools.islice(solutions, limit))
-        return found, not self.exhausted and (limit is None or len(found) < limit)
+    def enumerate(self, state, make, limit: int | None = None) -> EnumerationResult:
+        """The first ``limit`` complete assignments (all, for ``None``) of
+        the search from ``state``, each passed to ``make`` as a tuple; the
+        result is complete when the budget held and no limit was reached."""
+        maps = tuple(itertools.islice(map(make, map(tuple, self.solutions(state))), limit))
+        return EnumerationResult(maps, not self.exhausted and (limit is None or len(maps) < limit),
+                                 self.nodes)
 
 
-def table_homs(n: int, unary, binary, consts, cands, *, injective: bool = False,
-               limit: int | None = None, budget: int | None = None):
-    """Maps ``0..n-1`` to a target that preserve every operation, as
-    ``(tables, complete, nodes)`` with the tables in lexicographic order.
+def table_homs(n: int, unary, binary, consts, cands, make, *, injective: bool = False,
+               limit: int | None = None, budget: int | None = None) -> EnumerationResult:
+    """Maps ``0..n-1`` to a target that preserve every operation, each
+    built by ``make`` from its image table, in lexicographic table order.
 
     ``unary`` and ``binary`` list ``(source_table, target_table)`` pairs;
     ``consts`` lists ``(source_index, target_index)`` pairs; ``cands[i]``
@@ -98,8 +134,7 @@ def table_homs(n: int, unary, binary, consts, cands, *, injective: bool = False,
     point forces.  A point that is a constant, or an operation applied to
     earlier points, has its image forced, so only a generating prefix
     branches.  Each fact ``op(x, y) = z`` with ``y <= x`` is checked once,
-    as soon as its largest index is assigned.  ``complete`` is False when
-    the budget ran out or ``limit`` maps were found.
+    as soon as its largest index is assigned.
     """
     forced: list[tuple | None] = [None] * n
     for s, t in consts:  # a point named by two constants must honour both
@@ -176,6 +211,4 @@ def table_homs(n: int, unary, binary, consts, cands, *, injective: bool = False,
             f[i] = fi
             yield used | (1 << fi) if consistent(i, f, fi) else None
 
-    search = Backtrack(n, expand, budget)
-    found, complete = search.take((tuple(f) for f in search.solutions(0)), limit)
-    return found, complete, search.nodes
+    return Backtrack(n, expand, budget).enumerate(0, make, limit)

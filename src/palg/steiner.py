@@ -12,12 +12,11 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import (
     DEFAULT_SEARCH_BUDGET,
     MAX_ALGEBRA_SIZE,
-    EnumerationResult,
     ResourceLimitError,
     StructureError,
     ValidationReport,
@@ -25,7 +24,7 @@ from .core import (
     first_broken,
 )
 from .duality import FinitePoset, PPMap
-from .search import table_homs
+from .search import EnumerationResult, table_homs
 
 
 @dataclass(frozen=True)
@@ -188,12 +187,9 @@ def enumerate_quasigroup_homs(source: SteinerQuasigroup, target: SteinerQuasigro
     of two earlier points is forced, so only a generating prefix branches.
     The constant maps are always present (idempotence).
     """
-    images = range(target.order)
-    tables, complete, nodes = table_homs(
-        source.order, [], [(source.mult, target.mult)], [], [images] * source.order,
-        budget=budget)
-    maps = tuple(_QuasigroupHom(source, target, t) for t in tables)
-    return EnumerationResult(maps, complete, nodes)
+    return table_homs(source.order, [], [(source.mult, target.mult)], [],
+                      [range(target.order)] * source.order,
+                      partial(_QuasigroupHom, source, target), budget=budget)
 
 
 @dataclass(frozen=True)
@@ -201,9 +197,6 @@ class _QuasigroupHom:
     source: SteinerQuasigroup
     target: SteinerQuasigroup
     table: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
 
     def is_constant(self) -> bool:
         return len(set(self.table)) == 1

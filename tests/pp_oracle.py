@@ -10,7 +10,9 @@ reference this oracle keeps.  The packed engine yields only pp-morphisms
 instead: it rejects such a value as it places the last point.  That is
 one node either way, so it must visit exactly this tree: the same tables,
 in the same order, at the same node counts, with the same budget
-semantics.
+semantics.  The oracle streams its tables, so the node count it reports
+after each one is the count at which the engine, asked for that many
+maps, must stop.
 """
 
 from palg.core import bits
@@ -18,8 +20,9 @@ from palg.search import Backtrack
 
 
 def pp_tables(src, dst, required: int, budget: int):
-    """``(search, tables)`` as ``palg.duality._pp_tables(src, dst)(required,
-    budget)`` returns them."""
+    """``(search, tables)``: the tables whose image covers ``required``, in
+    lexicographic order, from a generator over ``search``, whose ``nodes``
+    and ``exhausted`` report the work done so far."""
     ns, nd = src.size, dst.size
     up_s = src.up
     mu_s, mu_d = src.max_up_masks, dst.max_up_masks
@@ -76,3 +79,18 @@ def pp_tables(src, dst, required: int, budget: int):
                 yield tuple(f)
 
     return search, tables()
+
+
+def walks_the_oracles_tree(run, src, dst, required: int, budget: int) -> None:
+    """Asserts that the engine ``run`` of ``_pp_tables(src, dst)`` finds the
+    oracle's first table at the oracle's node count, inconclusive exactly
+    when the oracle ran out first (what ``_pp_search`` reads), and then
+    every table of the oracle, at its node count and completeness."""
+    first = run(required, budget, limit=1)
+    search, tables = pp_tables(src, dst, required, budget)
+    assert first.witness == next(tables, None)
+    assert (first.nodes, first.status == "inconclusive") == (search.nodes, search.exhausted)
+    every = run(required, budget)
+    search, tables = pp_tables(src, dst, required, budget)
+    assert list(every.maps) == list(tables)
+    assert (every.nodes, every.complete) == (search.nodes, not search.exhausted)

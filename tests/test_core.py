@@ -6,6 +6,7 @@ import random
 import pytest
 
 from palg import (
+    AlgebraMap,
     FiniteAlgebra,
     FinitePoset,
     StructureError,
@@ -319,6 +320,17 @@ class TestIsomorphism:
 
     def test_size_mismatch(self, bn):
         assert is_isomorphic(bn[2], product([bn[0], bn[0]]))[0] is False
+
+    def test_a_spent_budget_is_refused_not_answered(self, bn):
+        with pytest.raises(ResourceLimitError, match="budget exhausted"):
+            is_isomorphic(bn[3], bn[3], budget=1)
+
+
+@pytest.mark.parametrize("table", [(0, 5, 2), (0, -1, 2)], ids=["past-size", "negative"])
+def test_algebra_map_images_out_of_range_are_refused(table, bn):
+    # -1 would be read from the end of each table row
+    with pytest.raises(StructureError, match="map image out of range"):
+        AlgebraMap(bn[1], bn[1], table)
 
 
 class TestSubdirectIrreducibility:

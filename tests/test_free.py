@@ -155,6 +155,21 @@ class TestFreeQb3:
         # 625^3 valuations pass the sweep budget, so the level search decides qb_3
         assert rep.sweep.checked == 395_969
 
+    @pytest.mark.parametrize("sweep", ["inconclusive", "falsified"])
+    def test_the_sweep_route_against_the_pp_route(self, sweep, monkeypatch, free32):
+        # the pp search finds no surjection onto the 3-fan, so a sweep that
+        # ran out leaves no verdict, and one that falsifies qb_3 contradicts it
+        import palg.free as free
+        from palg.core import InconsistentMethodsError
+        from palg.logic import SatisfactionResult
+        monkeypatch.setattr(free, "satisfies", lambda *a, **k: SatisfactionResult(sweep))
+        if sweep == "inconclusive":
+            rep = check_free_qb3(3, 2, built=free32)
+            assert (rep.status, rep.pp_search_status) == ("inconclusive", "none")
+        else:
+            with pytest.raises(InconsistentMethodsError, match="satisfied=False"):
+                check_free_qb3(3, 2, built=free32)
+
     def test_sanity_negative_eps_fan3_fails_qb3(self):
         assert satisfies(epsilon(make_p1(3)), make_qb(3)).status == "falsified"
 

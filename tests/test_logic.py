@@ -261,6 +261,18 @@ class TestVarietySatisfies:
         assert res.status == "falsified"
         assert res.counterexample_atoms == 2
 
+    def test_past_the_largest_algebra_built_is_inconclusive(self, monkeypatch):
+        # four variables call for B_0..B_16, past the 12-atom bound; with the
+        # bound lowered to 3 atoms, B_4 would raise if it were built
+        from palg import core
+        monkeypatch.setattr(core, "MAX_BN_ATOMS", 3)
+        monkeypatch.setattr(logic, "MAX_BN_ATOMS", 3)
+        commuted = parse("x1 ^ x2 ^ x3 ^ x4 = x4 ^ x3 ^ x2 ^ x1")
+        assert variety_satisfies(commuted, budget=1000).status == "inconclusive"
+        # the Stone law, which B_2 breaks, in four variables
+        stone = variety_satisfies(parse("x1* v x1** v (x2 ^ x3 ^ x4 ^ 0) = 1"), budget=1000)
+        assert (stone.status, stone.counterexample_atoms) == ("falsified", 2)
+
 
 def test_qb1_models_are_boolean_and_qb2_models_are_stone():
     double_negation = parse("x** = x")

@@ -34,7 +34,7 @@ from palg.duality import FinitePoset, _pp_tables, enumerate_ppmorphisms, validat
 from palg.free import _random_term
 from palg.logic import ONE, ZERO, _compile, _sweep_backtrack, _sweep_grid, variables_of
 from palg.serialize import algebra_from_dict, algebra_to_dict
-from pp_oracle import pp_tables
+from pp_oracle import walks_the_oracles_tree
 
 
 def random_algebra(rng):
@@ -331,11 +331,6 @@ def pp_cases(draw):
 def test_packed_pp_engine_walks_the_list_engines_tree(case):
     """The packed-domain engine against the list-layout oracle: the same
     first table at the same node count (what ``_pp_search`` reads), then
-    the same remaining tables, nodes and budget verdict."""
+    the same tables, nodes and budget verdict."""
     src, dst, required, budget = case
-    packed, tables = _pp_tables(src, dst)(required, budget)
-    listed, oracle = pp_tables(src, dst, required, budget)
-    assert next(tables, None) == next(oracle, None)
-    assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
-    assert list(tables) == list(oracle)
-    assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
+    walks_the_oracles_tree(_pp_tables(src, dst), src, dst, required, budget)

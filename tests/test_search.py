@@ -30,7 +30,7 @@ from palg import (
 from palg import duality
 from palg.duality import _pp_search, _pp_tables, enumerate_ppmorphisms
 from palg.search import Backtrack, table_homs
-from pp_oracle import pp_tables
+from pp_oracle import pp_tables, walks_the_oracles_tree
 
 
 def _expand_over(values, child):
@@ -219,20 +219,18 @@ def test_packed_pp_engine_on_dense_orders(cache_bits, monkeypatch):
              (disjoint_union([make_p1(10), _chain(10)]), make_p1(2), 0b100)]
     for src, dst, required in cases:
         for budget in (40, 10 ** 6):
-            packed, tables = _pp_tables(src, dst)(required, budget)
+            res = _pp_tables(src, dst)(required, budget)
             listed, oracle = pp_tables(src, dst, required, budget)
-            assert list(tables) == list(oracle)
-            assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
+            assert list(res.maps) == list(oracle)
+            assert (res.nodes, res.complete) == (listed.nodes, not listed.exhausted)
 
 
 def test_pp_search_of_a_130_point_chain_onto_itself():
     # fields of 131 bits, one per target point and a guard
     chain = _chain(130)
+    run = _pp_tables(chain, chain)
     for budget in (500, 50_000):
-        packed, tables = _pp_tables(chain, chain)((1 << 130) - 1, budget)
-        listed, oracle = pp_tables(chain, chain, (1 << 130) - 1, budget)
-        assert next(tables, None) == next(oracle, None)
-        assert (packed.nodes, packed.exhausted) == (listed.nodes, listed.exhausted)
+        walks_the_oracles_tree(run, chain, chain, (1 << 130) - 1, budget)
 
 
 def _least_covering(tables, k):
@@ -301,6 +299,6 @@ def test_table_homs_match_brute_force():
         brute = [f for f in itertools.product(range(m), repeat=n)
                  if all(dst[f[x]][f[y]] == f[src[x][y]] for x in range(n) for y in range(n))
                  and all(t[f[x]] == f[s[x]] for s, t in unary for x in range(n))]
-        tables, complete, _nodes = table_homs(n, unary, [(src, dst)], [], [range(m)] * n)
+        res = table_homs(n, unary, [(src, dst)], [], [range(m)] * n, tuple)
         assert h in brute
-        assert complete and tables == brute, (src, dst, unary)
+        assert res.complete and list(res.maps) == brute, (src, dst, unary)
